@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-entries",
         type=int,
         default=DEFAULT_CONFIG.max_tensor_entries,
-        help="cap on tensor entries per layer map",
+        help="cap on tensor entries per layer map and in the output matrix",
     )
     parser.add_argument(
         "--field",

@@ -6,13 +6,27 @@ mu -> d x d^2, delta -> d^2 x d, swap -> the basis-swap permutation);
 the word evaluates to the composite, a d^target x d^source matrix.
 Wire 0 is the leftmost tensor factor, so basis index i*d + j means
 e_i (x) e_j.  All arithmetic is exact.
+
+Layers run on Python ints, never on field scalars.  Once per algebra,
+each generator's sparse columns are made integral: over Q every entry
+is multiplied by the generator's scale, the LCM of the denominators of
+its entries; over GF(p) the canonical residues are used with scale 1.
+A word's total scale is the product of the scales of every generator
+in every layer, and each nonzero output entry is divided by it once,
+at the end.  Over GF(p), ``% p`` is applied once per accumulated state
+entry and once per cached layer-column entry, never per multiply-add.
+The genus invariant (through the handle operator) and
+``check_relations`` run through the same kernel.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import dsl
@@ -38,12 +52,14 @@ class InvalidAlgebra(ValueError):
 
 
 class EvalTooLarge(ValueError):
-    """A layer map would exceed the configured tensor-entry cap."""
+    """A layer map or the output matrix would exceed the tensor-entry cap.
 
-    def __init__(self, layer_index: int, entries: int, cap: int) -> None:
-        super().__init__(
-            f"layer {layer_index} needs {entries} tensor entries (cap {cap})"
-        )
+    ``layer_index`` is None when the d^target x d^source output is too big.
+    """
+
+    def __init__(self, layer_index: int | None, entries: int, cap: int) -> None:
+        what = "the output matrix" if layer_index is None else f"layer {layer_index}"
+        super().__init__(f"{what} needs {entries} tensor entries (cap {cap})")
         self.layer_index = layer_index
 
 
@@ -146,6 +162,7 @@ def matmul(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
 
 
 _SparseCols = list[dict[int, Scalar]]
+_IntCol = dict[int, int]
 
 
 def _generator_columns(a: FrobeniusAlgebraData, f: Field) -> dict[Generator, _SparseCols]:
@@ -169,73 +186,118 @@ def _generator_columns(a: FrobeniusAlgebraData, f: Field) -> dict[Generator, _Sp
     return table
 
 
-def _layer_column_fn(
-    gens: Sequence[Generator], gen_cols: dict[Generator, _SparseCols], d: int, f: Field
-) -> Callable[[int], dict[int, Scalar]]:
-    """Sparse columns of the layer's Kronecker product, built on demand.
+def _scaled(cols: _SparseCols, prime: int | None) -> tuple[int, list[_IntCol]]:
+    """Integer columns and their common scale: true entry = int / scale."""
+    if prime is not None:
+        return 1, cols
+    scale = math.lcm(*(x.denominator for col in cols for x in col.values()))
+    return scale, [
+        {r: x.numerator * (scale // x.denominator) for r, x in col.items()} for col in cols
+    ]
 
-    Only the columns actually hit by the running state are assembled,
-    so wide identity-heavy layers stay cheap.
+
+def _apply(state: list[_IntCol], columns: Sequence[_IntCol], prime: int | None) -> list[_IntCol]:
+    """Each state column pushed through a map given by its sparse columns.
+
+    Products are summed as plain ints; over GF(p) each accumulated entry
+    is reduced once.  Zero entries are dropped.
     """
-    radices = [d**g.n_in for g in gens]
-    out_sizes = [d**g.n_out for g in gens]
-    cache: dict[int, dict[int, Scalar]] = {}
+    out = []
+    for src in state:
+        acc: _IntCol = {}
+        get = acc.get
+        for mid, v in src.items():
+            for r, x in columns[mid].items():
+                acc[r] = get(r, 0) + v * x
+        if prime is None:
+            out.append({r: x for r, x in acc.items() if x})
+        else:
+            out.append({r: y for r, x in acc.items() if (y := x % prime)})
+    return out
 
-    def column(mid: int) -> dict[int, Scalar]:
-        col = cache.get(mid)
-        if col is not None:
-            return col
-        digits = []
-        rem = mid
-        for radix in reversed(radices):
-            digits.append(rem % radix)
-            rem //= radix
-        digits.reverse()
-        col = {0: f.one}
-        for gen, digit, out_size in zip(gens, digits, out_sizes):
-            own = gen_cols[gen][digit]
-            merged: dict[int, Scalar] = {}
-            for li, lv in col.items():
-                base = li * out_size
-                for ri, rv in own.items():
-                    merged[base + ri] = f.normalize(lv * rv)
-            col = merged
-        cache[mid] = col
+
+@dataclass(frozen=True)
+class _IntTables:
+    """Integer form of one algebra, built once by :func:`_int_tables`."""
+
+    prime: int | None
+    columns: dict[Generator, list[_IntCol]]
+    scales: dict[Generator, int]
+    handle: list[_IntCol]  # H = mu . delta, column k is H(e_k)
+
+
+@lru_cache(maxsize=256)
+def _int_tables(a: FrobeniusAlgebraData) -> _IntTables:
+    prime = a.field.prime
+    columns, scales = {}, {}
+    for gen, cols in _generator_columns(a, make_field(a.field)).items():
+        scales[gen], columns[gen] = _scaled(cols, prime)
+    handle = _apply(columns[Generator.SPLIT], columns[Generator.MERGE], prime)
+    return _IntTables(prime, columns, scales, handle)
+
+
+class _LayerColumns(dict):
+    """Sparse integer columns of a Kronecker product of generators, keyed
+    by input index and built on first use.
+
+    The generators are split in two halves, each with its own column
+    cache, so every partial product is built once and the nesting is
+    only log2(len(gens)) deep.  Only the columns actually hit by the
+    running state are assembled, so wide identity-heavy layers stay
+    cheap.  Over GF(p) each built entry is reduced once.
+    """
+
+    def __init__(self, gens: Sequence[Generator], t: _IntTables, d: int) -> None:
+        super().__init__()
+        half = len(gens) // 2
+        self.left = _columns_of(gens[:half], t, d)
+        self.right = _columns_of(gens[half:], t, d)
+        self.radix = d ** sum(g.n_in for g in gens[half:])
+        self.out_size = d ** sum(g.n_out for g in gens[half:])
+        self.prime = t.prime
+
+    def __missing__(self, mid: int) -> _IntCol:
+        high, low = divmod(mid, self.radix)
+        right, n = self.right[low], self.out_size
+        left = self.left[high]
+        col = {li * n + ri: lv * rv for li, lv in left.items() for ri, rv in right.items()}
+        if self.prime is not None:
+            col = {r: x % self.prime for r, x in col.items()}
+        self[mid] = col
         return col
 
-    return column
 
-
-def _apply_layer(
-    state: _SparseCols, layer_col: Callable[[int], dict[int, Scalar]], f: Field
-) -> _SparseCols:
-    out: _SparseCols = []
-    for column in state:
-        acc: dict[int, Scalar] = {}
-        for mid, v in column.items():
-            for r, w in layer_col(mid).items():
-                acc[r] = acc.get(r, 0) + v * w
-        out.append({r: nv for r, nv in ((r, f.normalize(x)) for r, x in acc.items()) if nv})
-    return out
+def _columns_of(gens: Sequence[Generator], t: _IntTables, d: int) -> Sequence[_IntCol]:
+    return t.columns[gens[0]] if len(gens) == 1 else _LayerColumns(gens, t, d)
 
 
 def _evaluate_unchecked(
     w: CobordismWord, a: FrobeniusAlgebraData, cfg: EvalConfig
 ) -> ExactMatrix:
-    f = make_field(a.field)
     d = a.dim
-    gen_cols = _generator_columns(a, f)
-    state: _SparseCols = [{i: f.one} for i in range(d**w.source)]
+    cap = cfg.max_tensor_entries
     for idx, layer in enumerate(w.layers):
-        if d**layer.inputs * d**layer.outputs > cfg.max_tensor_entries:
-            raise EvalTooLarge(idx, d**layer.inputs * d**layer.outputs, cfg.max_tensor_entries)
-        state = _apply_layer(state, _layer_column_fn(layer.generators, gen_cols, d, f), f)
-    n_rows = d**w.target
-    entries = [f.zero] * (n_rows * len(state))
-    n_cols = len(state)
+        if d**layer.inputs * d**layer.outputs > cap:
+            raise EvalTooLarge(idx, d**layer.inputs * d**layer.outputs, cap)
+    n_rows, n_cols = d**w.target, d**w.source
+    if n_rows * n_cols > cap:
+        raise EvalTooLarge(None, n_rows * n_cols, cap)
+    t = _int_tables(a)
+    scale = 1
+    state: list[_IntCol] = [{i: 1} for i in range(n_cols)]
+    for layer in w.layers:
+        for g in layer.generators:
+            scale *= t.scales[g]
+        state = _apply(state, _columns_of(layer.generators, t, d), t.prime)
+    f = make_field(a.field)
+    entries: list[Scalar] = [f.zero] * (n_rows * n_cols)
+    scalars: dict[int, Scalar] = {}  # one division per distinct value
     for c, column in enumerate(state):
         for r, v in column.items():
-            entries[r * n_cols + c] = v
+            x = scalars.get(v)
+            if x is None:
+                x = scalars[v] = Fraction(v, scale) if t.prime is None else v
+            entries[r * n_cols + c] = x
     return ExactMatrix(n_rows, n_cols, a.field, tuple(entries))
 
 
@@ -259,34 +321,22 @@ def genus_invariant(
     """Closed genus-g invariant counit(H^g(unit)) with H = mu . delta.
 
     Equals evaluating the closed normal-form word of that genus, but
-    runs through the d x d handle operator instead of tensor assembly.
+    runs through the d x d handle operator, built once per algebra,
+    instead of tensor assembly.
     """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
     _require_valid(a)
-    f = make_field(a.field)
-    d = a.dim
-    handle = [
-        [
-            f.normalize(
-                sum(
-                    a.delta[k][i][j] * a.mu[i][j][m]
-                    for i in range(d)
-                    for j in range(d)
-                    if a.delta[k][i][j]
-                )
-            )
-            for k in range(d)
-        ]
-        for m in range(d)
-    ]
-    vec = list(a.unit)
+    t = _int_tables(a)
+    vec = t.columns[Generator.CAP][0]
     for _ in range(genus):
-        vec = [
-            f.normalize(sum(handle[m][k] * vec[k] for k in range(d) if vec[k]))
-            for m in range(d)
-        ]
-    return f.normalize(sum(a.counit[m] * vec[m] for m in range(d) if vec[m]))
+        vec = _apply([vec], t.handle, t.prime)[0]
+    value = _apply([vec], t.columns[Generator.CUP], t.prime)[0].get(0, 0)
+    if t.prime is not None:
+        return value
+    s = t.scales
+    handle_scale = s[Generator.MERGE] * s[Generator.SPLIT]
+    return Fraction(value, s[Generator.CAP] * handle_scale**genus * s[Generator.CUP])
 
 
 # ---------------------------------------------------------------------------

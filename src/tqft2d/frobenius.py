@@ -12,7 +12,7 @@ nondegeneracy axioms and report every failed coordinate exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -103,6 +103,8 @@ class FrobeniusAlgebraData:
     delta: Tensor3
     counit: Vector
     basis_labels: tuple[str, ...] | None = None
+    # Hashing d^3 Fractions is slow, and every cache lookup hashes.
+    _hash: int = dataclass_field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.dim
@@ -129,6 +131,11 @@ class FrobeniusAlgebraData:
         for x in chain(self.unit, self.counit, tensor_entries):
             if not ok(x):
                 raise ValueError(f"entry {x!r} is not a canonical {self.field} scalar")
+        key = (self.field, d, self.mu, self.unit, self.delta, self.counit, self.basis_labels)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _freeze3(t: Iterable[Iterable[Iterable[Scalar]]]) -> Tensor3:

@@ -79,6 +79,13 @@ def test_eval_resource_limit(t2_path, capsys):
     assert main(["--max-entries", "7", "eval", "mu ; delta", t2_path]) == 3
 
 
+def test_eval_output_matrix_is_capped(capsys):
+    # Each layer is 2^11 entries, but the output is 2^11 x 2^11.
+    assert main(["eval", "cup^11 ; cap^11", "truncated_poly(2)"]) == 3
+    err = capsys.readouterr().err
+    assert "output matrix needs 4194304" in err
+
+
 def test_eval_word_from_file(tmp_path, t2_path, capsys):
     cob = tmp_path / "word.cob"
     cob.write_text("# a handle\ndelta ; mu\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -20,10 +21,16 @@ from tqft2d.evaluator import (
     matrix_to_json,
     relation_table,
 )
-from tqft2d.fields import RATIONAL
-from tqft2d.frobenius import group_algebra, pairing, truncated_poly, check_all
+from tqft2d.fields import RATIONAL, FieldSpec, make_field
+from tqft2d.frobenius import (
+    check_all,
+    derive_comultiplication,
+    group_algebra,
+    pairing,
+    truncated_poly,
+)
 from tqft2d.groups import cyclic
-from tqft2d.words import CobordismWord, compose, identity, random_word, tensor
+from tqft2d.words import CobordismWord, Generator, compose, identity, random_word, tensor
 
 Q = Fraction
 
@@ -197,3 +204,71 @@ def test_matrix_serialization(t2):
 def test_eval_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(max_tensor_entries=0)
+
+
+# ---------------------------------------------------------------------------
+# differential check against a dense reference evaluator
+
+
+def _generator_matrix(gen, a):
+    """The generator's d^out x d^in matrix read straight off the structure tensors."""
+    d, f = a.dim, make_field(a.field)
+    entry = {
+        Generator.CAP: lambda r, c: a.unit[r],
+        Generator.CUP: lambda r, c: a.counit[c],
+        Generator.ID: lambda r, c: f.one if r == c else f.zero,
+        Generator.MERGE: lambda r, c: a.mu[c // d][c % d][r],
+        Generator.SPLIT: lambda r, c: a.delta[c][r // d][r % d],
+        Generator.SWAP: lambda r, c: f.one if r == (c % d) * d + c // d else f.zero,
+    }[gen]
+    rows, cols = d**gen.n_out, d**gen.n_in
+    entries = tuple(entry(r, c) for r in range(rows) for c in range(cols))
+    return ExactMatrix(rows, cols, a.field, entries)
+
+
+def _reference_evaluate(w, a):
+    """Dense evaluation: kron each layer's generators, matmul the layers in order."""
+    m = ExactMatrix.identity(a.dim**w.source, a.field)
+    for layer in w.layers:
+        m = matmul(functools.reduce(kron, (_generator_matrix(g, a) for g in layer.generators)), m)
+    return m
+
+
+def _counit_scaled_poly(field, factor):
+    """truncated_poly(3) with its counit times factor and delta re-derived."""
+    f = make_field(field)
+    a = truncated_poly(3, field)
+    counit = tuple(f.normalize(x * factor) for x in a.counit)
+    return derive_comultiplication(field, 3, a.mu, a.unit, counit)
+
+
+GF7 = FieldSpec(prime=7)
+
+
+@pytest.mark.parametrize(
+    "make_algebra",
+    [
+        lambda: group_algebra(cyclic(3)),
+        lambda: _counit_scaled_poly(RATIONAL, Q(2, 3)),  # delta has denominator 2
+        lambda: truncated_poly(3, GF7),
+        lambda: _counit_scaled_poly(GF7, 3),  # residues other than 0 and 1
+    ],
+    ids=["c3_counit_third", "poly3_delta_half", "poly3_gf7", "poly3_gf7_counit_3"],
+)
+def test_evaluate_matches_dense_reference(make_algebra):
+    a = make_algebra()
+    assert check_all(a).ok
+    if a.field.is_rational:  # the integer kernel's scales must be exercised
+        entries = [*a.counit, *(x for plane in a.delta for row in plane for x in row)]
+        assert max(x.denominator for x in entries) > 1
+    seen = set()
+    for seed in range(60):
+        w = random_word(seed, 3, 6)
+        seen.update(g for layer in w.layers for g in layer.generators)
+        got = evaluate(w, a)
+        assert got == _reference_evaluate(w, a), seed
+        if a.field.is_rational:
+            assert all(type(x) is Fraction for x in got.entries)
+        else:
+            assert all(type(x) is int and 0 <= x < a.field.prime for x in got.entries)
+    assert {Generator.CAP, Generator.CUP, Generator.MERGE, Generator.SPLIT} <= seen

@@ -13,6 +13,7 @@ from tqft2d.frobenius import (
     NonAbelianGroup,
     algebra_from_json,
     algebra_to_json,
+    cached_check_all,
     check_all,
     check_commutative,
     check_comonoid,
@@ -289,6 +290,21 @@ def test_mutations_always_fail_some_check(registry):
         a = registry[name]
         for _ in range(20):
             assert first_failure(mutate_entry(a, rng)) is not None, name
+
+
+def test_hash_is_cached_and_follows_equality(registry):
+    a = registry["group_algebra_c3"]
+    same = group_algebra(cyclic(3))
+    assert same is not a and same == a and hash(same) == hash(a)
+    assert same in {a: None}
+    mutated = mutate_entry(a, random.Random(11))
+    assert mutated != a and hash(mutated) != hash(a)
+    assert mutated not in {a: None}
+    assert cached_check_all(a).ok and not cached_check_all(mutated).ok
+    # dataclasses.replace recomputes the hash from the new fields.
+    restored = dataclasses.replace(mutated, mu=a.mu, unit=a.unit, delta=a.delta, counit=a.counit)
+    assert restored == a and hash(restored) == hash(a)
+    assert "_hash" not in repr(a)
 
 
 def test_truncated_poly_n1_is_the_field(dim1):
