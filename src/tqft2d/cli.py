@@ -32,7 +32,6 @@ from .evaluator import (
 )
 from .fields import FieldSpec, RATIONAL, BadFieldSpec, make_field
 from .frobenius import (
-    AlgebraFormatError,
     BadCharacteristic,
     DegeneratePairing,
     DerivedStructureInvalid,
@@ -47,15 +46,13 @@ from .frobenius import (
 from .groups import (
     EnumerationTooLarge,
     FiniteGroup,
-    GroupTableError,
-    UnknownGroupName,
     builtin,
     cyclic,
     dw_partition,
     load_group,
     product,
 )
-from .words import BoundaryMismatch, is_equivalent, normal_form
+from .words import is_equivalent, normal_form
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,6 +62,21 @@ EXIT_RESOURCE = 3
 
 class UsageError(ValueError):
     pass
+
+
+# Exit code per exception class; an exception takes the code of the
+# nearest class in its MRO, so every other ValueError (parse errors,
+# malformed files, bad specs) is a usage error.
+_EXIT_CODES: dict[type[Exception], int] = {
+    InvalidAlgebra: EXIT_CHECK_FAILED,
+    DegeneratePairing: EXIT_CHECK_FAILED,
+    DerivedStructureInvalid: EXIT_CHECK_FAILED,
+    NonAbelianGroup: EXIT_CHECK_FAILED,
+    BadCharacteristic: EXIT_CHECK_FAILED,
+    EvalTooLarge: EXIT_RESOURCE,
+    EnumerationTooLarge: EXIT_RESOURCE,
+    ValueError: EXIT_USAGE,
+}
 
 
 def _read_word(arg: str):
@@ -277,25 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.config = EvalConfig(max_tensor_entries=args.max_entries)
         return args.func(args)
-    except (
-        UsageError,
-        dsl.ParseError,
-        AlgebraFormatError,
-        GroupTableError,
-        UnknownGroupName,
-        BadFieldSpec,
-        BoundaryMismatch,
-        ValueError,
-    ) as exc:
-        if isinstance(exc, (InvalidAlgebra, DegeneratePairing, DerivedStructureInvalid,
-                            NonAbelianGroup, BadCharacteristic)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        if isinstance(exc, (EvalTooLarge, EnumerationTooLarge)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -7,30 +7,21 @@ the word evaluates to the composite, a d^target x d^source matrix.
 Wire 0 is the leftmost tensor factor, so basis index i*d + j means
 e_i (x) e_j.  All arithmetic is exact.
 
-Layers run on Python ints, never on field scalars.  Once per algebra,
-each generator's sparse columns are made integral: over Q every entry
-is multiplied by the generator's scale, the LCM of the denominators of
-its entries; over GF(p) the canonical residues are used with scale 1.
-A word's total scale is the product of the scales of every generator
-in every layer, and each nonzero output entry is divided by it once,
-at the end.  Over GF(p), ``% p`` is applied once per accumulated state
-entry and once per cached layer-column entry, never per multiply-add.
-The genus invariant (through the handle operator) and
-``check_relations`` run through the same kernel.
+Words, the genus invariant and ``check_relations`` all run on the
+fraction-free integer kernel of :mod:`tqft2d.axioms`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import dsl
-from .fields import Field, FieldSpec, Scalar, make_field
+from .axioms import WORD_PAIRS, _apply, _int_tables, _run_word, _scalar, word_failures
+from .fields import FieldSpec, Scalar, make_field
 from .frobenius import (
     FrobeniusAlgebraData,
     ValidationReport,
@@ -161,144 +152,13 @@ def matmul(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
 # evaluation
 
 
-_SparseCols = list[dict[int, Scalar]]
-_IntCol = dict[int, int]
-
-
-def _generator_columns(a: FrobeniusAlgebraData, f: Field) -> dict[Generator, _SparseCols]:
-    d = a.dim
-    table: dict[Generator, _SparseCols] = {}
-    table[Generator.CAP] = [{k: a.unit[k] for k in range(d) if a.unit[k]}]
-    table[Generator.CUP] = [({0: a.counit[i]} if a.counit[i] else {}) for i in range(d)]
-    table[Generator.ID] = [{i: f.one} for i in range(d)]
-    table[Generator.MERGE] = [
-        {k: a.mu[i][j][k] for k in range(d) if a.mu[i][j][k]}
-        for i in range(d)
-        for j in range(d)
-    ]
-    table[Generator.SPLIT] = [
-        {i * d + j: a.delta[k][i][j] for i in range(d) for j in range(d) if a.delta[k][i][j]}
-        for k in range(d)
-    ]
-    table[Generator.SWAP] = [
-        {j * d + i: f.one} for i in range(d) for j in range(d)
-    ]
-    return table
-
-
-def _scaled(cols: _SparseCols, prime: int | None) -> tuple[int, list[_IntCol]]:
-    """Integer columns and their common scale: true entry = int / scale."""
-    if prime is not None:
-        return 1, cols
-    scale = math.lcm(*(x.denominator for col in cols for x in col.values()))
-    return scale, [
-        {r: x.numerator * (scale // x.denominator) for r, x in col.items()} for col in cols
-    ]
-
-
-def _apply(state: list[_IntCol], columns: Sequence[_IntCol], prime: int | None) -> list[_IntCol]:
-    """Each state column pushed through a map given by its sparse columns.
-
-    Products are summed as plain ints; over GF(p) each accumulated entry
-    is reduced once.  Zero entries are dropped.
-    """
-    out = []
-    for src in state:
-        acc: _IntCol = {}
-        get = acc.get
-        for mid, v in src.items():
-            for r, x in columns[mid].items():
-                acc[r] = get(r, 0) + v * x
-        if prime is None:
-            out.append({r: x for r, x in acc.items() if x})
-        else:
-            out.append({r: y for r, x in acc.items() if (y := x % prime)})
-    return out
-
-
-@dataclass(frozen=True)
-class _IntTables:
-    """Integer form of one algebra, built once by :func:`_int_tables`."""
-
-    prime: int | None
-    columns: dict[Generator, list[_IntCol]]
-    scales: dict[Generator, int]
-    handle: list[_IntCol]  # H = mu . delta, column k is H(e_k)
-
-
-@lru_cache(maxsize=256)
-def _int_tables(a: FrobeniusAlgebraData) -> _IntTables:
-    prime = a.field.prime
-    columns, scales = {}, {}
-    for gen, cols in _generator_columns(a, make_field(a.field)).items():
-        scales[gen], columns[gen] = _scaled(cols, prime)
-    handle = _apply(columns[Generator.SPLIT], columns[Generator.MERGE], prime)
-    return _IntTables(prime, columns, scales, handle)
-
-
-class _LayerColumns(dict):
-    """Sparse integer columns of a Kronecker product of generators, keyed
-    by input index and built on first use.
-
-    The generators are split in two halves, each with its own column
-    cache, so every partial product is built once and the nesting is
-    only log2(len(gens)) deep.  Only the columns actually hit by the
-    running state are assembled, so wide identity-heavy layers stay
-    cheap.  Over GF(p) each built entry is reduced once.
-    """
-
-    def __init__(self, gens: Sequence[Generator], t: _IntTables, d: int) -> None:
-        super().__init__()
-        half = len(gens) // 2
-        self.left = _columns_of(gens[:half], t, d)
-        self.right = _columns_of(gens[half:], t, d)
-        self.radix = d ** sum(g.n_in for g in gens[half:])
-        self.out_size = d ** sum(g.n_out for g in gens[half:])
-        self.prime = t.prime
-
-    def __missing__(self, mid: int) -> _IntCol:
-        high, low = divmod(mid, self.radix)
-        right, n = self.right[low], self.out_size
-        left = self.left[high]
-        col = {li * n + ri: lv * rv for li, lv in left.items() for ri, rv in right.items()}
-        if self.prime is not None:
-            col = {r: x % self.prime for r, x in col.items()}
-        self[mid] = col
-        return col
-
-
-def _columns_of(gens: Sequence[Generator], t: _IntTables, d: int) -> Sequence[_IntCol]:
-    return t.columns[gens[0]] if len(gens) == 1 else _LayerColumns(gens, t, d)
-
-
-def _evaluate_unchecked(
-    w: CobordismWord, a: FrobeniusAlgebraData, cfg: EvalConfig
-) -> ExactMatrix:
-    d = a.dim
+def _check_size(w: CobordismWord, d: int, cfg: EvalConfig) -> None:
     cap = cfg.max_tensor_entries
     for idx, layer in enumerate(w.layers):
         if d**layer.inputs * d**layer.outputs > cap:
             raise EvalTooLarge(idx, d**layer.inputs * d**layer.outputs, cap)
-    n_rows, n_cols = d**w.target, d**w.source
-    if n_rows * n_cols > cap:
-        raise EvalTooLarge(None, n_rows * n_cols, cap)
-    t = _int_tables(a)
-    scale = 1
-    state: list[_IntCol] = [{i: 1} for i in range(n_cols)]
-    for layer in w.layers:
-        for g in layer.generators:
-            scale *= t.scales[g]
-        state = _apply(state, _columns_of(layer.generators, t, d), t.prime)
-    f = make_field(a.field)
-    entries: list[Scalar] = [f.zero] * (n_rows * n_cols)
-    scalars: dict[int, Scalar] = {}  # one division per distinct value
-    for c, column in enumerate(state):
-        for r, v in column.items():
-            x = scalars.get(v)
-            if x is None:
-                x = scalars[v] = Fraction(v, scale) if t.prime is None else v
-            entries[r * n_cols + c] = x
-    return ExactMatrix(n_rows, n_cols, a.field, tuple(entries))
+    if d**w.target * d**w.source > cap:
+        raise EvalTooLarge(None, d**w.target * d**w.source, cap)
 
 
 def _require_valid(a: FrobeniusAlgebraData) -> None:
@@ -312,7 +172,21 @@ def evaluate(
 ) -> ExactMatrix:
     """Image of the word under the functor defined by a valid algebra."""
     _require_valid(a)
-    return _evaluate_unchecked(w, a, cfg)
+    d = a.dim
+    _check_size(w, d, cfg)
+    n_rows, n_cols = d**w.target, d**w.source
+    t = _int_tables(a)
+    scale, state = _run_word(w, t, d)
+    f = make_field(a.field)
+    entries: list[Scalar] = [f.zero] * (n_rows * n_cols)
+    scalars: dict[int, Scalar] = {}  # one division per distinct value
+    for c, column in enumerate(state):
+        for r, v in column.items():
+            x = scalars.get(v)
+            if x is None:
+                x = scalars[v] = _scalar(v, scale, t.prime)
+            entries[r * n_cols + c] = x
+    return ExactMatrix(n_rows, n_cols, a.field, tuple(entries))
 
 
 def genus_invariant(
@@ -343,26 +217,12 @@ def genus_invariant(
 # generator relations
 
 
-_RELATION_WORDS: tuple[tuple[str, str, str], ...] = (
-    ("identity-cap", "cap ; id", "cap"),
-    ("identity-cup", "id ; cup", "cup"),
-    ("identity-merge", "id^2 ; mu", "mu ; id"),
-    ("unit-left", "cap | id ; mu", "id"),
-    ("unit-right", "id | cap ; mu", "id"),
-    ("counit-left", "delta ; cup | id", "id"),
-    ("counit-right", "delta ; id | cup", "id"),
-    ("associativity", "mu | id ; mu", "id | mu ; mu"),
-    ("coassociativity", "delta ; delta | id", "delta ; id | delta"),
-    ("commutativity", "swap ; mu", "mu"),
-    ("cocommutativity", "delta ; swap", "delta"),
-    ("frobenius-left", "delta | id ; id | mu", "mu ; delta"),
-    ("frobenius-right", "id | delta ; mu | id", "mu ; delta"),
-)
+_RELATIONS = tuple(p for p in WORD_PAIRS if p.relation is not None)
 
 
 def relation_table() -> list[tuple[str, CobordismWord, CobordismWord]]:
     """The 13 built-in generator relations as word pairs."""
-    return [(name, dsl.parse(lhs), dsl.parse(rhs)) for name, lhs, rhs in _RELATION_WORDS]
+    return [(p.relation, p.lhs, p.rhs) for p in _RELATIONS]
 
 
 @dataclass(frozen=True)
@@ -390,11 +250,12 @@ def check_relations(
     seeing which relations fail is the point of the diagnostic.
     """
     failures = []
-    for name, lhs, rhs in relation_table():
-        ml = _evaluate_unchecked(lhs, a, cfg)
-        mr = _evaluate_unchecked(rhs, a, cfg)
-        if ml != mr:
-            failures.append(RelationFailure(name, dsl.format_word(lhs), dsl.format_word(rhs)))
+    for pair in _RELATIONS:
+        _check_size(pair.lhs, a.dim, cfg)
+        _check_size(pair.rhs, a.dim, cfg)
+        if next(word_failures(a, pair), None) is not None:
+            lhs, rhs = dsl.format_word(pair.lhs), dsl.format_word(pair.rhs)
+            failures.append(RelationFailure(pair.relation, lhs, rhs))
     return RelationReport(tuple(failures))
 
 

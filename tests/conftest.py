@@ -1,14 +1,18 @@
 import dataclasses
+import functools
 import random
 
 import pytest
 
 from tqft2d import (
     CobordismWord,
+    ExactMatrix,
     FrobeniusAlgebraData,
     Generator,
     Layer,
+    kron,
     make_field,
+    matmul,
     registry_algebras,
 )
 
@@ -33,6 +37,35 @@ def mutate_entry(a: FrobeniusAlgebraData, rng: random.Random) -> FrobeniusAlgebr
     i = rng.randrange(d)
     v[i] = f.normalize(v[i] + f.one)
     return dataclasses.replace(a, **{which: tuple(v)})
+
+
+def _generator_matrix(gen: Generator, a: FrobeniusAlgebraData) -> ExactMatrix:
+    """The generator's d^out x d^in matrix read straight off the structure tensors."""
+    d, f = a.dim, make_field(a.field)
+    entry = {
+        Generator.CAP: lambda r, c: a.unit[r],
+        Generator.CUP: lambda r, c: a.counit[c],
+        Generator.ID: lambda r, c: f.one if r == c else f.zero,
+        Generator.MERGE: lambda r, c: a.mu[c // d][c % d][r],
+        Generator.SPLIT: lambda r, c: a.delta[c][r // d][r % d],
+        Generator.SWAP: lambda r, c: f.one if r == (c % d) * d + c // d else f.zero,
+    }[gen]
+    rows, cols = d**gen.n_out, d**gen.n_in
+    entries = tuple(entry(r, c) for r in range(rows) for c in range(cols))
+    return ExactMatrix(rows, cols, a.field, entries)
+
+
+def reference_evaluate(w: CobordismWord, a: FrobeniusAlgebraData) -> ExactMatrix:
+    """Dense evaluation: kron each layer's generators, matmul the layers in order.
+
+    Independent of the library's sparse integer kernel; it shares only
+    ``kron`` and ``matmul``.  Runs on unvalidated algebras too.
+    """
+    m = ExactMatrix.identity(a.dim**w.source, a.field)
+    for k, layer in enumerate(w.layers):
+        layer_matrix = functools.reduce(kron, (_generator_matrix(g, a) for g in layer.generators))
+        m = layer_matrix if k == 0 else matmul(layer_matrix, m)
+    return m
 
 
 def _insert_identity_layer(w: CobordismWord, rng: random.Random) -> CobordismWord:

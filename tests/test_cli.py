@@ -2,9 +2,30 @@ import json
 
 import pytest
 
-from tqft2d.cli import main
-from tqft2d.frobenius import algebra_to_json, group_algebra, truncated_poly
-from tqft2d.groups import cyclic, group_to_json
+from tqft2d import cli
+from tqft2d.cli import UsageError, main
+from tqft2d.dsl import ParseError, ParseErrorKind, SourceSpan
+from tqft2d.evaluator import EvalTooLarge, InvalidAlgebra
+from tqft2d.fields import BadFieldSpec
+from tqft2d.frobenius import (
+    AlgebraFormatError,
+    BadCharacteristic,
+    DegeneratePairing,
+    DerivedStructureInvalid,
+    NonAbelianGroup,
+    ValidationReport,
+    algebra_to_json,
+    group_algebra,
+    truncated_poly,
+)
+from tqft2d.groups import (
+    EnumerationTooLarge,
+    GroupTableError,
+    UnknownGroupName,
+    cyclic,
+    group_to_json,
+)
+from tqft2d.words import BoundaryMismatch
 
 from conftest import mutate_entry
 import random
@@ -169,3 +190,36 @@ def test_outputs_are_deterministic(t2_path, capsys):
     first = capsys.readouterr().out
     main(["eval", "delta ; mu", t2_path])
     assert capsys.readouterr().out == first
+
+
+_EMPTY_REPORT = ValidationReport(())
+
+
+@pytest.mark.parametrize(
+    ("exc", "code"),
+    [
+        (InvalidAlgebra(_EMPTY_REPORT), 1),
+        (DegeneratePairing("singular"), 1),
+        (DerivedStructureInvalid(_EMPTY_REPORT), 1),
+        (NonAbelianGroup("S3"), 1),
+        (BadCharacteristic("3 divides 3"), 1),
+        (EvalTooLarge(None, 8, 4), 3),
+        (EnumerationTooLarge("too many tuples"), 3),
+        (ParseError(SourceSpan(1, 1, 1), ParseErrorKind.UNKNOWN_TOKEN, "frob"), 2),
+        (UsageError("bad spec"), 2),
+        (AlgebraFormatError("bad json"), 2),
+        (GroupTableError("not a group"), 2),
+        (UnknownGroupName("Z9"), 2),
+        (BadFieldSpec("6 is not prime"), 2),
+        (BoundaryMismatch(1, 2), 2),
+        (ValueError("plain"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_per_exception(monkeypatch, capsys, exc, code):
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_normalize", raise_it)
+    assert main(["normalize", "id"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"

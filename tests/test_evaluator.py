@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import random
 from fractions import Fraction
 
@@ -31,6 +30,8 @@ from tqft2d.frobenius import (
 )
 from tqft2d.groups import cyclic
 from tqft2d.words import CobordismWord, Generator, compose, identity, random_word, tensor
+
+from conftest import reference_evaluate
 
 Q = Fraction
 
@@ -210,30 +211,6 @@ def test_eval_config_validation():
 # differential check against a dense reference evaluator
 
 
-def _generator_matrix(gen, a):
-    """The generator's d^out x d^in matrix read straight off the structure tensors."""
-    d, f = a.dim, make_field(a.field)
-    entry = {
-        Generator.CAP: lambda r, c: a.unit[r],
-        Generator.CUP: lambda r, c: a.counit[c],
-        Generator.ID: lambda r, c: f.one if r == c else f.zero,
-        Generator.MERGE: lambda r, c: a.mu[c // d][c % d][r],
-        Generator.SPLIT: lambda r, c: a.delta[c][r // d][r % d],
-        Generator.SWAP: lambda r, c: f.one if r == (c % d) * d + c // d else f.zero,
-    }[gen]
-    rows, cols = d**gen.n_out, d**gen.n_in
-    entries = tuple(entry(r, c) for r in range(rows) for c in range(cols))
-    return ExactMatrix(rows, cols, a.field, entries)
-
-
-def _reference_evaluate(w, a):
-    """Dense evaluation: kron each layer's generators, matmul the layers in order."""
-    m = ExactMatrix.identity(a.dim**w.source, a.field)
-    for layer in w.layers:
-        m = matmul(functools.reduce(kron, (_generator_matrix(g, a) for g in layer.generators)), m)
-    return m
-
-
 def _counit_scaled_poly(field, factor):
     """truncated_poly(3) with its counit times factor and delta re-derived."""
     f = make_field(field)
@@ -266,7 +243,7 @@ def test_evaluate_matches_dense_reference(make_algebra):
         w = random_word(seed, 3, 6)
         seen.update(g for layer in w.layers for g in layer.generators)
         got = evaluate(w, a)
-        assert got == _reference_evaluate(w, a), seed
+        assert got == reference_evaluate(w, a), seed
         if a.field.is_rational:
             assert all(type(x) is Fraction for x in got.entries)
         else:
