@@ -4,7 +4,9 @@ Commutative Frobenius algebras are exactly 2D TQFTs (Abrams 1996; Kock
 2003), so the algebra axioms are relations between generator words.
 This module holds the one table of those word pairs and the one checker,
 :func:`word_failures`, which runs both words of a pair and reports every
-entry where they differ.
+entry where they differ.  Other modules get field scalars from the
+kernel through :func:`word_entries` and :func:`genus_scalar`, so its
+scale convention stays here.
 
 The kernel works on Python ints, never on field scalars.  Once per
 algebra, each generator's sparse columns are made integral: over Q every
@@ -174,6 +176,35 @@ def _scalar(v: int, scale: int, prime: int | None) -> Scalar:
     return Fraction(v, scale) if prime is None else v
 
 
+def word_entries(w: CobordismWord, a: FrobeniusAlgebraData) -> list[Scalar]:
+    """The word's d^target x d^source matrix under a, row-major, as field
+    scalars.  The algebra is not validated."""
+    t, d = _int_tables(a), a.dim
+    scale, state = _run_word(w, t, d)
+    n_cols = d**w.source
+    entries: list[Scalar] = [make_field(a.field).zero] * (d**w.target * n_cols)
+    scalars: dict[int, Scalar] = {}  # one division per distinct value
+    for c, column in enumerate(state):
+        for r, v in column.items():
+            x = scalars.get(v)
+            if x is None:
+                x = scalars[v] = _scalar(v, scale, t.prime)
+            entries[r * n_cols + c] = x
+    return entries
+
+
+def genus_scalar(genus: int, a: FrobeniusAlgebraData) -> Scalar:
+    """counit(H^genus(unit)) with H = mu . delta, the closed genus-g surface."""
+    t = _int_tables(a)
+    vec = t.columns[Generator.CAP][0]
+    for _ in range(genus):
+        vec = _apply([vec], t.handle, t.prime)[0]
+    value = _apply([vec], t.columns[Generator.CUP], t.prime)[0].get(0, 0)
+    s = t.scales
+    handle_scale = s[Generator.MERGE] * s[Generator.SPLIT]
+    return _scalar(value, s[Generator.CAP] * handle_scale**genus * s[Generator.CUP], t.prime)
+
+
 # ---------------------------------------------------------------------------
 # the word table and its checker
 
@@ -217,10 +248,6 @@ WORD_PAIRS: tuple[WordPair, ...] = tuple(
          "delta | id ; id | mu", "mu ; delta", False),
         ("frobenius-right", "frobenius-right", "frobenius",
          "id | delta ; mu | id", "mu ; delta", False),
-        # Nondegeneracy: pairing . delta(unit) = id, which holds exactly
-        # when the pairing is invertible and delta(unit) is its inverse.
-        (None, "snake", "nondegenerate",
-         "id | cap ; id | delta ; mu | id ; cup | id", "id", False),
     )
 )
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import dsl
-from .axioms import WORD_PAIRS, _apply, _int_tables, _run_word, _scalar, word_failures
+from .axioms import WORD_PAIRS, genus_scalar, word_entries, word_failures
 from .fields import FieldSpec, Scalar, make_field
 from .frobenius import (
     FrobeniusAlgebraData,
@@ -28,7 +27,7 @@ from .frobenius import (
     cached_check_all,
     _freeze3,
 )
-from .words import CobordismWord, Generator
+from .words import CobordismWord
 
 
 class InvalidAlgebra(ValueError):
@@ -174,19 +173,7 @@ def evaluate(
     _require_valid(a)
     d = a.dim
     _check_size(w, d, cfg)
-    n_rows, n_cols = d**w.target, d**w.source
-    t = _int_tables(a)
-    scale, state = _run_word(w, t, d)
-    f = make_field(a.field)
-    entries: list[Scalar] = [f.zero] * (n_rows * n_cols)
-    scalars: dict[int, Scalar] = {}  # one division per distinct value
-    for c, column in enumerate(state):
-        for r, v in column.items():
-            x = scalars.get(v)
-            if x is None:
-                x = scalars[v] = _scalar(v, scale, t.prime)
-            entries[r * n_cols + c] = x
-    return ExactMatrix(n_rows, n_cols, a.field, tuple(entries))
+    return ExactMatrix(d**w.target, d**w.source, a.field, tuple(word_entries(w, a)))
 
 
 def genus_invariant(
@@ -201,16 +188,7 @@ def genus_invariant(
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
     _require_valid(a)
-    t = _int_tables(a)
-    vec = t.columns[Generator.CAP][0]
-    for _ in range(genus):
-        vec = _apply([vec], t.handle, t.prime)[0]
-    value = _apply([vec], t.columns[Generator.CUP], t.prime)[0].get(0, 0)
-    if t.prime is not None:
-        return value
-    s = t.scales
-    handle_scale = s[Generator.MERGE] * s[Generator.SPLIT]
-    return Fraction(value, s[Generator.CAP] * handle_scale**genus * s[Generator.CUP])
+    return genus_scalar(genus, a)
 
 
 # ---------------------------------------------------------------------------

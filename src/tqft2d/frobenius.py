@@ -15,22 +15,24 @@ they differ.  A failure's coordinate is the base-d digits of the
 entry's input index (one per input wire, wire 0 first) followed by
 those of its output index; for associativity, ``(i, j, k, n)`` compares
 the ``e_n`` coefficients of ``(e_i e_j) e_k`` and ``e_i (e_j e_k)``.
-Nondegeneracy is the snake word
-``id | cap ; id | delta ; mu | id ; cup | id`` = ``id``: the pairing
-times ``delta(unit)`` is the identity, which holds exactly when the
-pairing is invertible and ``delta(unit)`` is its inverse.
+Nondegeneracy needs the inverse of the pairing, so it is not a word
+identity: the pairing must be invertible, and ``delta(unit)`` (the word
+``cap ; delta``) must equal its inverse, the copairing, at every
+``(i, j)``.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .axioms import WORD_PAIRS, CheckFailure, word_failures
+from . import dsl
+from .axioms import WORD_PAIRS, CheckFailure, WordPair, word_entries, word_failures
 from .fields import (
     RATIONAL,
     Field,
@@ -147,18 +149,28 @@ def _freeze3(t: Iterable[Iterable[Iterable[Scalar]]]) -> Tensor3:
 # axiom checkers: views over the word table in ``axioms``
 
 
+# The axiom identities by section and shape, in table order.  Failures
+# of one group are merged by coordinate, as the index loops listed them.
+_GROUPS: dict[tuple[str, int, int], list[WordPair]] = {}
+for _p in WORD_PAIRS:
+    if _p.section is not None:
+        _GROUPS.setdefault((_p.section, _p.lhs.source, _p.lhs.target), []).append(_p)
+
+_DELTA_OF_UNIT = dsl.parse("cap ; delta")
+
+
+def _merged(a: FrobeniusAlgebraData, key: tuple[str, int, int]) -> Iterator[CheckFailure]:
+    failures = (word_failures(a, p) for p in _GROUPS[key])
+    return heapq.merge(*failures, key=lambda f: f.coordinate)
+
+
 def _section(a: FrobeniusAlgebraData, section: str) -> Report:
-    # Listing order: words with more inputs, then more outputs, first;
-    # identities of one shape merged in coordinate order.  `validate`
+    if section == "nondegenerate":
+        return Report(tuple(_nondegenerate_failures(a)))
+    # Words with more inputs, then more outputs, first.  `validate`
     # prints failures in this order, so its output stays stable.
-    keyed = [
-        ((-p.lhs.source, -p.lhs.target, f.coordinate), f)
-        for p in WORD_PAIRS
-        if p.section == section
-        for f in word_failures(a, p)
-    ]
-    keyed.sort(key=lambda item: item[0])
-    return Report(tuple(f for _, f in keyed))
+    keys = sorted((k for k in _GROUPS if k[0] == section), key=lambda k: (-k[1], -k[2]))
+    return Report(tuple(chain.from_iterable(_merged(a, k) for k in keys)))
 
 
 def check_monoid(a: FrobeniusAlgebraData) -> Report:
@@ -182,8 +194,24 @@ def check_commutative(a: FrobeniusAlgebraData) -> Report:
 
 
 def check_nondegenerate(a: FrobeniusAlgebraData) -> Report:
-    """The snake identity: pairing . delta(unit) = id."""
+    """The pairing is invertible and its inverse is delta(unit)."""
     return _section(a, "nondegenerate")
+
+
+def _nondegenerate_failures(a: FrobeniusAlgebraData) -> Iterator[CheckFailure]:
+    f = make_field(a.field)
+    theta = _invert(pairing(a), f)
+    if theta is None:
+        yield CheckFailure("nondegenerate", (), "singular pairing", "invertible pairing")
+        return
+    delta_of_unit = word_entries(_DELTA_OF_UNIT, a)  # entry i*d + j is delta(unit)[i][j]
+    for i, row in enumerate(theta):
+        for j, want in enumerate(row):
+            got = delta_of_unit[i * a.dim + j]
+            if got != want:
+                yield CheckFailure(
+                    "copairing-is-delta-of-unit", (i, j), f.to_str(got), f.to_str(want)
+                )
 
 
 def pairing(a: FrobeniusAlgebraData) -> Matrix:
@@ -227,22 +255,24 @@ def copairing(a: FrobeniusAlgebraData) -> Matrix:
 
 _SECTIONS = ("monoid", "comonoid", "frobenius", "commutative", "nondegenerate")
 
-# Identities with at most three boundary circles have O(d^3) entries to
-# compare; the rest have d^4.  Stable sort: table order within each group.
-_CHEAP_FIRST = sorted(
-    (p for p in WORD_PAIRS if p.section is not None),
-    key=lambda p: p.lhs.source + p.lhs.target > 3,
-)
-
 
 def check_all(a: FrobeniusAlgebraData) -> ValidationReport:
     """All five axiom groups; overall pass iff every section passes."""
     return ValidationReport(tuple((name, _section(a, name)) for name in _SECTIONS))
 
 
+# Groups with at most three boundary circles have O(d^3) entries to
+# compare; the rest have d^4.
+_CHEAP = [k for k in _GROUPS if k[1] + k[2] <= 3]
+_DEAR = [k for k in _GROUPS if k[1] + k[2] > 3]
+
+
 def first_failure(a: FrobeniusAlgebraData) -> CheckFailure | None:
-    """First failed identity, checking the cheap identities first."""
-    return next(chain.from_iterable(word_failures(a, p) for p in _CHEAP_FIRST), None)
+    """First failed identity: unit, counit and commutativity laws, then
+    nondegeneracy, then associativity, coassociativity and Frobenius."""
+    cheap = (f for k in _CHEAP for f in _merged(a, k))
+    dear = (f for k in _DEAR for f in _merged(a, k))
+    return next(chain(cheap, _nondegenerate_failures(a), dear), None)
 
 
 @lru_cache(maxsize=256)
