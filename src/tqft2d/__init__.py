@@ -3,7 +3,7 @@
 Parse diagrams as words over the six generator symbols, decide their
 diffeomorphism-class equivalence, evaluate them to exact matrices under
 any commutative Frobenius algebra, and cross-check closed-surface
-invariants against a brute-force finite-group oracle.
+invariants against a finite-group counting oracle.
 """
 
 from .dsl import ParseError, ParseErrorKind, SourceSpan, format_word, parse

@@ -163,7 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     algebra = _read_algebra(args.algebra, args.field)
-    value = genus_invariant(args.genus, algebra, args.config)
+    value = genus_invariant(args.genus, algebra)
     print(_scalar_str(algebra.field, value))
     return EXIT_OK
 
@@ -203,10 +203,10 @@ def cmd_dw(args: argparse.Namespace) -> int:
     print("genus  oracle  evaluator  verdict")
     for genus in range(args.max_genus + 1):
         oracle = dw_partition(group, genus)
-        value = genus_invariant(genus, center, args.config)
+        value = genus_invariant(genus, center)
         ok = oracle == value
         if algebra_side is not None:
-            ok = ok and genus_invariant(genus, algebra_side, args.config) == oracle
+            ok = ok and genus_invariant(genus, algebra_side) == oracle
         all_match = all_match and ok
         print(f"{genus}  {oracle}  {_scalar_str(center.field, value)}  {'match' if ok else 'MISMATCH'}")
     return EXIT_OK if all_match else EXIT_CHECK_FAILED
@@ -269,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("dw", help="cross-check the evaluator against the group oracle")
-    p.add_argument("--group", help="group spec, e.g. cyclic(3), S3, product(cyclic(2),cyclic(2))")
-    p.add_argument("--group-file", help="path to a group JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--group", help="group spec, e.g. cyclic(3), S3, product(cyclic(2),cyclic(2))")
+    source.add_argument("--group-file", help="path to a group JSON file")
     p.add_argument("--max-genus", type=int, default=2)
     p.set_defaults(func=cmd_dw)
 
@@ -283,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "dw" and not args.group and not args.group_file:
-        print("dw: one of --group or --group-file is required", file=sys.stderr)
-        return EXIT_USAGE
     try:
         args.config = EvalConfig(max_tensor_entries=args.max_entries)
         return args.func(args)

@@ -176,9 +176,7 @@ def evaluate(
     return ExactMatrix(d**w.target, d**w.source, a.field, tuple(word_entries(w, a)))
 
 
-def genus_invariant(
-    genus: int, a: FrobeniusAlgebraData, cfg: EvalConfig = DEFAULT_CONFIG
-) -> Scalar:
+def genus_invariant(genus: int, a: FrobeniusAlgebraData) -> Scalar:
     """Closed genus-g invariant counit(H^g(unit)) with H = mu . delta.
 
     Equals evaluating the closed normal-form word of that genus, but

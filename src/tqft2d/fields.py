@@ -89,20 +89,12 @@ class Field:
             return x if type(x) is Fraction else Fraction(x)
         return x % self.prime
 
-    def neg(self, x: Scalar) -> Scalar:
-        if self.prime is None:
-            return -x
-        return (-x) % self.prime
-
     def inv(self, x: Scalar) -> Scalar:
         if not x:
             raise ZeroDivisionError(f"division by zero in {self.spec}")
         if self.prime is None:
             return 1 / x
         return pow(x, -1, self.prime)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.normalize(a * self.inv(b))
 
     def parse(self, value: int | str) -> Scalar:
         """Read a JSON scalar: an int, or an ``"a/b"`` / ``"a"`` string."""

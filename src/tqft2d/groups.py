@@ -1,4 +1,4 @@
-"""Finite groups as multiplication tables, plus the brute-force surface oracle.
+"""Finite groups as multiplication tables, plus the surface oracle.
 
 The oracle counts tuples ``(a_1, b_1, ..., a_g, b_g)`` whose commutator
 product is the identity; divided by ``|G|`` this is the genus-``g``
@@ -9,12 +9,13 @@ center-of-group-algebra construction.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Sequence
 
-ENUMERATION_BUDGET = 10**8
+MAX_GENUS = 1000
 
 
 class GroupTableError(ValueError):
@@ -26,7 +27,7 @@ class UnknownGroupName(ValueError):
 
 
 class EnumerationTooLarge(ValueError):
-    """|G|^(2g) exceeds the enumeration budget."""
+    """The requested genus exceeds ``MAX_GENUS``."""
 
 
 @dataclass(frozen=True)
@@ -196,32 +197,28 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 def commutator_count(g: FiniteGroup, genus: int) -> int:
     """Number of 2*genus-tuples whose commutator product is the identity.
 
-    Plain nested enumeration with a running partial product; the only
-    precomputation is the n^2 table of commutators [a, b].
+    One convolution per handle: ``ways`` maps each partial product
+    [a_1, b_1]...[a_k, b_k] to the number of 2k-tuples that reach it,
+    and each handle convolves it with the histogram of commutators
+    [a, b], so the cost is O(genus * n^2) rather than n^(2*genus).
     """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
-    if genus == 0:
-        return 1
+    if genus > MAX_GENUS:
+        raise EnumerationTooLarge(f"genus {genus} exceeds the cap of {MAX_GENUS}")
     n = g.order
-    if n ** (2 * genus) > ENUMERATION_BUDGET:
-        raise EnumerationTooLarge(
-            f"|G|^(2g) = {n}^{2 * genus} exceeds the budget of {ENUMERATION_BUDGET}"
-        )
     t = g.table
     inv = g._inverse
-    comms = [t[t[t[a][b]][inv[a]]][inv[b]] for a in range(n) for b in range(n)]
-
-    def count_from(prefix: int, handles_left: int) -> int:
-        if handles_left == 1:
-            row = t[prefix]
-            return sum(1 for c in comms if row[c] == g.identity)
-        total = 0
-        for c in comms:
-            total += count_from(t[prefix][c], handles_left - 1)
-        return total
-
-    return count_from(g.identity, genus)
+    comms = Counter(t[t[t[a][b]][inv[a]]][inv[b]] for a in range(n) for b in range(n))
+    ways = Counter({g.identity: 1})
+    for _ in range(genus):
+        step: Counter[int] = Counter()
+        for x, k in ways.items():
+            row = t[x]
+            for c, m in comms.items():
+                step[row[c]] += k * m
+        ways = step
+    return ways[g.identity]
 
 
 def dw_partition(g: FiniteGroup, genus: int) -> Fraction:

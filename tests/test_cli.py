@@ -172,6 +172,20 @@ def test_dw_requires_group(capsys):
     assert main(["dw", "--max-genus", "1"]) == 2
 
 
+def test_dw_rejects_group_and_group_file(capsys, tmp_path):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(group_to_json(cyclic(2))), encoding="utf-8")
+    assert main(["dw", "--group", "S3", "--group-file", str(path)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_dw_q8_past_genus_four(capsys):
+    assert main(["dw", "--group", "Q8", "--max-genus", "8"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [str(g) for g in range(9)]
+    assert all(row.endswith("  match") for row in rows)
+
+
 def test_field_flag_constructs_prime_registry(capsys):
     assert main(["--field", "7", "invariant", "--genus", "1", "truncated_poly(3)"]) == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product as tuples
 
 import pytest
 
 from tqft2d.groups import (
+    MAX_GENUS,
     EnumerationTooLarge,
     FiniteGroup,
     GroupTableError,
@@ -75,17 +77,37 @@ def test_commutator_count_abelian_is_full_power():
             assert commutator_count(g, genus) == n ** (2 * genus)
 
 
-def test_commutator_count_s3_torus_matches_direct_enumeration():
-    g = builtin("S3")
-    # independent oracle: plain double loop over commuting pairs
-    direct = sum(
-        1
-        for a in range(g.order)
-        for b in range(g.order)
-        if g.mul(a, b) == g.mul(b, a)
-    )
-    assert direct == 18
-    assert commutator_count(g, 1) == direct
+def _direct_count(g: FiniteGroup, genus: int) -> int:
+    """Brute-force reference: every 2g-tuple, commutator product left to right."""
+    count = 0
+    for tup in tuples(range(g.order), repeat=2 * genus):
+        x = g.identity
+        for a, b in zip(tup[::2], tup[1::2]):
+            x = g.mul(x, g.mul(g.mul(g.mul(a, b), g.inv(a)), g.inv(b)))
+        count += x == g.identity
+    return count
+
+
+def test_commutator_count_matches_direct_enumeration():
+    groups = [builtin("S3"), builtin("D4"), builtin("Q8"), cyclic(4), product(cyclic(2), cyclic(2))]
+    for g in groups:
+        for genus in range(3):
+            assert commutator_count(g, genus) == _direct_count(g, genus), (g.order, genus)
+    assert _direct_count(builtin("S3"), 1) == 18
+
+
+def _mednykh(order: int, degrees: tuple[int, ...], genus: int) -> Fraction:
+    """|Hom(pi_1 Sigma_g, G)| = |G| * sum over irreducible chi of (|G|/chi(1))^(2g-2)."""
+    return order * sum(Fraction(order, d) ** (2 * genus - 2) for d in degrees)
+
+
+def test_commutator_count_matches_mednykh_formula():
+    degrees = {"S3": (1, 1, 2), "D4": (1, 1, 1, 1, 2), "Q8": (1, 1, 1, 1, 2)}
+    for name, degs in degrees.items():
+        g = builtin(name)
+        assert sum(d * d for d in degs) == g.order
+        for genus in range(13):
+            assert commutator_count(g, genus) == _mednykh(g.order, degs, genus), (name, genus)
 
 
 def test_dw_partition_values():
@@ -99,9 +121,13 @@ def test_dw_partition_torus_counts_classes():
         assert dw_partition(g, 1) == len(conjugacy_classes(g))
 
 
-def test_enumeration_budget():
+def test_commutator_count_genus_cap():
     with pytest.raises(EnumerationTooLarge):
-        commutator_count(cyclic(100), 4)
+        commutator_count(cyclic(2), MAX_GENUS + 1)
+
+
+def test_commutator_count_trivial_group_at_genus_cap():
+    assert commutator_count(cyclic(1), MAX_GENUS) == 1
 
 
 def test_table_verification_rejects_corruptions():
