@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import dsl
@@ -115,14 +114,20 @@ class _IntTables:
     handle: list[_IntCol]  # H = mu . delta, column k is H(e_k)
 
 
-@lru_cache(maxsize=256)
 def _int_tables(a: FrobeniusAlgebraData) -> _IntTables:
-    prime = a.field.prime
-    columns, scales = {}, {}
-    for gen, cols in _generator_columns(a, make_field(a.field)).items():
-        scales[gen], columns[gen] = _scaled(cols, prime)
-    handle = _apply(columns[Generator.SPLIT], columns[Generator.MERGE], prime)
-    return _IntTables(prime, columns, scales, handle)
+    """The algebra's tables, memoised on the instance: keying a cache by
+    the algebra's value would compare d^3 Fractions on every lookup.  Two
+    threads may both build them; the tables are equal, so either may win."""
+    t = a._int_tables
+    if t is None:
+        prime = a.field.prime
+        columns, scales = {}, {}
+        for gen, cols in _generator_columns(a, make_field(a.field)).items():
+            scales[gen], columns[gen] = _scaled(cols, prime)
+        handle = _apply(columns[Generator.SPLIT], columns[Generator.MERGE], prime)
+        t = _IntTables(prime, columns, scales, handle)
+        object.__setattr__(a, "_int_tables", t)
+    return t  # type: ignore[return-value]
 
 
 class _LayerColumns(dict):

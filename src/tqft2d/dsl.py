@@ -6,20 +6,23 @@ Grammar::
     layer := gen ("|" gen)*
     gen   := ("cap" | "cup" | "id" | "mu" | "delta" | "swap") ["^" natural]
 
-"#" starts a comment running to end of line; whitespace is otherwise
-insignificant.  The repetition suffix repeats a generator in parallel;
-counts above 10^6 are rejected so parsing stays total instead of
-exhausting memory.  Surface-name aliases are accepted on input:
-pants -> delta, copants -> mu, twist -> swap, cyl -> id.  This grammar
-is also the on-disk format for ``.cob`` files (UTF-8, LF or CRLF).
+"#" starts a comment running to end of line; whitespace (space, tab,
+CR, LF) is otherwise insignificant.  Names and numbers are ASCII.  The
+repetition suffix repeats a generator in parallel; counts above 10^6
+are rejected so parsing stays total instead of exhausting memory.
+Surface-name aliases are accepted on input: pants -> delta, copants ->
+mu, twist -> swap, cyl -> id.  This grammar is also the on-disk format
+for ``.cob`` files (UTF-8, LF or CRLF).
 """
 
 from __future__ import annotations
 
 import enum
+import re
+import string
 from dataclasses import dataclass
 
-from .words import CobordismWord, Generator, Layer
+from .words import BoundaryMismatch, CobordismWord, Generator, Layer
 
 
 class ParseErrorKind(enum.Enum):
@@ -52,13 +55,7 @@ class ParseError(ValueError):
 
 _MAX_REPETITION = 10**6
 
-_KEYWORDS = {
-    "cap": Generator.CAP,
-    "cup": Generator.CUP,
-    "id": Generator.ID,
-    "mu": Generator.MERGE,
-    "delta": Generator.SPLIT,
-    "swap": Generator.SWAP,
+_KEYWORDS = {g.keyword: g for g in Generator} | {
     # surface-name aliases
     "pants": Generator.SPLIT,
     "copants": Generator.MERGE,
@@ -66,145 +63,100 @@ _KEYWORDS = {
     "cyl": Generator.ID,
 }
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "number" | "^" | "|" | ";"
-    text: str
-    span: SourceSpan
+# Names, numbers, the three separators, comments (which parse() drops),
+# and any other character outside whitespace, which is an unknown token.
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|[|;^]|#[^\n]*|[^ \t\r\n]")
+_TOKEN_STARTS = frozenset(string.ascii_letters + string.digits + "|;^")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        span_start = SourceSpan(line, col, 1)
-        if ch in "|;^":
-            tokens.append(_Token(ch if ch != "^" else "^", ch, span_start))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalpha() or text[j].isdigit() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("number", text[i:j], SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(
-            span_start, ParseErrorKind.UNKNOWN_TOKEN, f"unexpected character {ch!r}"
-        )
-    return tokens
+def _span_at(text: str, offset: int, length: int) -> SourceSpan:
+    column = offset - text.rfind("\n", 0, offset)
+    return SourceSpan(text.count("\n", 0, offset) + 1, column, length)
+
+
+def _error(text: str, index: int, kind: ParseErrorKind, message: str) -> ParseError:
+    """The error at the index-th token, comments not counted, unless the
+    text holds an unknown character: the first one is reported instead,
+    wherever it is.  Spans are worked out only here."""
+    tokens = [m for m in _TOKEN.finditer(text) if m[0][0] != "#"]
+    for m in tokens:
+        if m[0][0] not in _TOKEN_STARTS:
+            return ParseError(
+                _span_at(text, m.start(), 1),
+                ParseErrorKind.UNKNOWN_TOKEN,
+                f"unexpected character {m[0]!r}",
+            )
+    m = tokens[index]
+    return ParseError(_span_at(text, m.start(), len(m[0])), kind, message)
 
 
 def parse(text: str) -> CobordismWord:
     """Parse a word; raises :class:`ParseError` on any malformed input."""
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
+    if "#" in text:
+        tokens = [t for t in tokens if t[0] != "#"]
     if not tokens:
         return CobordismWord((), 0)
 
-    layers: list[tuple[list[Generator], SourceSpan]] = []
+    layers: list[Layer] = []
+    firsts = [0]  # token index of each layer's first generator
     gens: list[Generator] = []
-    layer_span: SourceSpan | None = None
-    expect_gen = True
-    i = 0
-
-    def fail(span: SourceSpan, kind: ParseErrorKind, msg: str) -> None:
-        raise ParseError(span, kind, msg)
-
-    last_span = tokens[-1].span
-    while i < len(tokens):
+    i, n = 0, len(tokens)
+    while True:
         tok = tokens[i]
-        if expect_gen:
-            if tok.kind != "name":
-                kind = (
-                    ParseErrorKind.EMPTY_LAYER
-                    if tok.kind in (";", "|")
-                    else ParseErrorKind.UNKNOWN_TOKEN
-                )
-                fail(tok.span, kind, f"expected a generator, found {tok.text!r}")
-            gen = _KEYWORDS.get(tok.text)
-            if gen is None:
-                fail(tok.span, ParseErrorKind.UNKNOWN_TOKEN, f"unknown generator {tok.text!r}")
-            if layer_span is None:
-                layer_span = tok.span
-            count = 1
+        gen = _KEYWORDS.get(tok)
+        if gen is None:
+            if tok[0].isalpha():
+                raise _error(text, i, ParseErrorKind.UNKNOWN_TOKEN, f"unknown generator {tok!r}")
+            kind = ParseErrorKind.EMPTY_LAYER if tok in ("|", ";") else ParseErrorKind.UNKNOWN_TOKEN
+            raise _error(text, i, kind, f"expected a generator, found {tok!r}")
+        i += 1
+        if i < n and tokens[i] == "^":
+            if i + 1 == n or tokens[i + 1][0] not in string.digits:
+                raise _error(text, i, ParseErrorKind.BAD_REPETITION, "'^' needs a number")
             i += 1
-            if i < len(tokens) and tokens[i].kind == "^":
-                caret = tokens[i]
-                i += 1
-                if i >= len(tokens) or tokens[i].kind != "number":
-                    fail(caret.span, ParseErrorKind.BAD_REPETITION, "'^' needs a number")
-                count = int(tokens[i].text)
-                if count < 1 or count > _MAX_REPETITION:
-                    fail(
-                        tokens[i].span,
-                        ParseErrorKind.BAD_REPETITION,
-                        f"repetition must be in [1, {_MAX_REPETITION}], got {count}",
-                    )
-                i += 1
-            gens.extend([gen] * count)
-            expect_gen = False
-        else:
-            if tok.kind == "|":
-                expect_gen = True
-                i += 1
-            elif tok.kind == ";":
-                layers.append((gens, layer_span))  # type: ignore[arg-type]
-                gens = []
-                layer_span = None
-                expect_gen = True
-                i += 1
-            else:
-                fail(
-                    tok.span,
-                    ParseErrorKind.UNKNOWN_TOKEN,
-                    f"expected '|', ';' or end of input, found {tok.text!r}",
+            digits = tokens[i].lstrip("0") or "0"
+            count = int(digits) if len(digits) <= 7 else 0  # int() refuses > 4300 digits
+            if not 1 <= count <= _MAX_REPETITION:
+                raise _error(
+                    text,
+                    i,
+                    ParseErrorKind.BAD_REPETITION,
+                    f"repetition must be in [1, {_MAX_REPETITION}], got {digits}",
                 )
-    if expect_gen:
-        fail(last_span, ParseErrorKind.EMPTY_LAYER, "trailing separator leaves an empty layer")
-    layers.append((gens, layer_span))  # type: ignore[arg-type]
-
-    width = sum(g.n_in for g in layers[0][0])
-    packed: list[Layer] = []
-    for gen_list, span in layers:
-        layer = Layer(tuple(gen_list))
-        if layer.inputs != width:
-            assert span is not None
-            fail(
-                span,
-                ParseErrorKind.ARITY_MISMATCH,
-                f"layer needs {layer.inputs} input circles but receives {width}",
+            gens.extend([gen] * count)
+            i += 1
+        else:
+            gens.append(gen)
+        if i == n:
+            break
+        sep = tokens[i]
+        if sep == ";":
+            layers.append(Layer(tuple(gens)))
+            gens = []
+            firsts.append(i + 1)
+        elif sep != "|":
+            raise _error(
+                text,
+                i,
+                ParseErrorKind.UNKNOWN_TOKEN,
+                f"expected '|', ';' or end of input, found {sep!r}",
             )
-        packed.append(layer)
-        width = layer.outputs
-    return CobordismWord(tuple(packed), packed[0].inputs)
+        i += 1
+        if i == n:
+            raise _error(
+                text, i - 1, ParseErrorKind.EMPTY_LAYER, "trailing separator leaves an empty layer"
+            )
+    layers.append(Layer(tuple(gens)))
+    try:
+        return CobordismWord(tuple(layers), layers[0].inputs)
+    except BoundaryMismatch as exc:
+        raise _error(
+            text,
+            firsts[exc.layer],  # type: ignore[index]
+            ParseErrorKind.ARITY_MISMATCH,
+            f"layer needs {exc.got} input circles but receives {exc.expected}",
+        ) from None
 
 
 def format_word(w: CobordismWord) -> str:

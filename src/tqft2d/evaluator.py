@@ -27,6 +27,7 @@ from .frobenius import (
     cached_check_all,
     _freeze3,
 )
+from .groups import MAX_GENUS, EnumerationTooLarge
 from .words import CobordismWord
 
 
@@ -185,6 +186,8 @@ def genus_invariant(genus: int, a: FrobeniusAlgebraData) -> Scalar:
     """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
+    if genus > MAX_GENUS:
+        raise EnumerationTooLarge(f"genus {genus} exceeds the cap of {MAX_GENUS}")
     _require_valid(a)
     return genus_scalar(genus, a)
 

@@ -108,6 +108,8 @@ class FrobeniusAlgebraData:
     basis_labels: tuple[str, ...] | None = None
     # Hashing d^3 Fractions is slow, and every cache lookup hashes.
     _hash: int = dataclass_field(default=0, init=False, repr=False, compare=False)
+    # The integer kernel's tables, built on first use by axioms._int_tables.
+    _int_tables: object = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.dim

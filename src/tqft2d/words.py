@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 
@@ -37,10 +36,13 @@ class Generator(enum.Enum):
 class BoundaryMismatch(ValueError):
     """Adjacent boundaries disagree (composition or layer chaining)."""
 
-    def __init__(self, expected: int, got: int, where: str = "compose") -> None:
+    def __init__(
+        self, expected: int, got: int, where: str = "compose", layer: int | None = None
+    ) -> None:
         super().__init__(f"{where}: expected {expected} circles, got {got}")
         self.expected = expected
         self.got = got
+        self.layer = layer  # index of the offending layer when chaining
 
 
 class InternalInvariantViolation(AssertionError):
@@ -83,7 +85,7 @@ class CobordismWord:
         width = self.source
         for i, layer in enumerate(self.layers):
             if layer.inputs != width:
-                raise BoundaryMismatch(width, layer.inputs, where=f"layer {i}")
+                raise BoundaryMismatch(width, layer.inputs, f"layer {i}", layer=i)
             width = layer.outputs
 
     @property
@@ -115,21 +117,22 @@ def compose(w1: CobordismWord, w2: CobordismWord) -> CobordismWord:
     return CobordismWord(w1.layers + w2.layers, w1.source)
 
 
-def tensor(w1: CobordismWord, w2: CobordismWord) -> CobordismWord:
-    """Parallel placement, w1's wires above w2's.
+def tensor(*ws: CobordismWord) -> CobordismWord:
+    """Parallel placement, each word's wires above those of the next.
 
-    The shorter operand is padded with identity layers on its target
-    so both have equal layer counts before being laid side by side.
+    Shorter operands are padded with identity layers on their targets
+    so all have equal layer counts before being laid side by side.
+    The tensor of no words is ``identity(0)``.
     """
-    depth = max(len(w1.layers), len(w2.layers))
-
-    def gens_at(w: CobordismWord, i: int) -> tuple[Generator, ...]:
-        if i < len(w.layers):
-            return w.layers[i].generators
-        return (Generator.ID,) * w.target
-
-    combined = tuple(Layer(gens_at(w1, i) + gens_at(w2, i)) for i in range(depth))
-    return CobordismWord(combined, w1.source + w2.source)
+    depth = max((len(w.layers) for w in ws), default=0)
+    padded = [(w.layers, (Generator.ID,) * w.target) for w in ws]
+    combined: list[Layer] = []
+    for i in range(depth):
+        gens: list[Generator] = []
+        for layers, pad in padded:
+            gens.extend(layers[i].generators if i < len(layers) else pad)
+        combined.append(Layer(tuple(gens)))
+    return CobordismWord(tuple(combined), sum(w.source for w in ws))
 
 
 @dataclass(frozen=True)
@@ -334,7 +337,7 @@ def normal_form(w: CobordismWord) -> CobordismWord:
     profile = decompose_components(w)
     comps = profile.components
     blocks = [_connected_block(len(c.inputs), len(c.outputs), c.genus) for c in comps]
-    core = reduce(tensor, blocks, identity(0))
+    core = tensor(*blocks)
 
     in_order = [i for c in comps for i in sorted(c.inputs)]
     out_order = [j for c in comps for j in sorted(c.outputs)]

@@ -126,6 +126,14 @@ def test_invariant_values(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def test_invariant_genus_is_capped(capsys):
+    assert main(["invariant", "--genus", "1001", "group_center(S3)"]) == 3
+    assert "exceeds the cap of 1000" in capsys.readouterr().err
+    # sum over the irreps of (|G| / dim)^(2g - 2), 1556 digits
+    assert main(["invariant", "--genus", "1000", "group_center(S3)"]) == 0
+    assert int(capsys.readouterr().out) == 2 * 6**1998 + 3**1998
+
+
 def test_equiv_verdicts(capsys):
     assert main(["equiv", "delta|id;id|mu", "mu;delta"]) == 0
     assert capsys.readouterr().out.strip() == "equivalent"

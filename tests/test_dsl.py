@@ -21,6 +21,12 @@ def test_parse_arity_mismatch_reports_offending_layer():
         parse("mu ; mu")
     assert exc.value.kind is ParseErrorKind.ARITY_MISMATCH
     assert exc.value.span.column == 6
+    assert exc.value.message == "layer needs 2 input circles but receives 1"
+
+    with pytest.raises(ParseError) as exc:
+        parse("cap | id ;\n  mu ; mu")
+    assert exc.value.kind is ParseErrorKind.ARITY_MISMATCH
+    assert (exc.value.span.line, exc.value.span.column, exc.value.span.length) == (2, 8, 2)
 
 
 def test_parse_repetition():
@@ -53,27 +59,39 @@ def test_parse_empty_is_identity_on_zero():
     assert parse("  # nothing\n") == CobordismWord((), 0)
 
 
+# (text, kind, (line, column) of the span)
+_ERROR_CASES = [
+    ("frob", ParseErrorKind.UNKNOWN_TOKEN, (1, 1)),
+    ("mu $ id", ParseErrorKind.UNKNOWN_TOKEN, (1, 4)),
+    ("mu 2", ParseErrorKind.UNKNOWN_TOKEN, (1, 4)),
+    ("mu ; ; id", ParseErrorKind.EMPTY_LAYER, (1, 6)),
+    ("; mu", ParseErrorKind.EMPTY_LAYER, (1, 1)),
+    ("mu ;", ParseErrorKind.EMPTY_LAYER, (1, 4)),
+    ("id | | id", ParseErrorKind.EMPTY_LAYER, (1, 6)),
+    ("id^", ParseErrorKind.BAD_REPETITION, (1, 3)),
+    ("id^0", ParseErrorKind.BAD_REPETITION, (1, 4)),
+    ("id^x", ParseErrorKind.BAD_REPETITION, (1, 3)),
+    ("id^99999999999999", ParseErrorKind.BAD_REPETITION, (1, 4)),
+    # an unknown character is reported before any earlier grammar error
+    ("mu ; ; id $", ParseErrorKind.UNKNOWN_TOKEN, (1, 11)),
+    # names and numbers are ASCII, though str.isdigit/isalpha accept these
+    ("id^²", ParseErrorKind.UNKNOWN_TOKEN, (1, 4)),
+    ("id^٣", ParseErrorKind.UNKNOWN_TOKEN, (1, 4)),
+    ("idé", ParseErrorKind.UNKNOWN_TOKEN, (1, 3)),
+    # too many digits for int()
+    ("id^" + "9" * 5000, ParseErrorKind.BAD_REPETITION, (1, 4)),
+]
+
+
 @pytest.mark.parametrize(
-    "text,kind",
-    [
-        ("frob", ParseErrorKind.UNKNOWN_TOKEN),
-        ("mu $ id", ParseErrorKind.UNKNOWN_TOKEN),
-        ("mu 2", ParseErrorKind.UNKNOWN_TOKEN),
-        ("mu ; ; id", ParseErrorKind.EMPTY_LAYER),
-        ("; mu", ParseErrorKind.EMPTY_LAYER),
-        ("mu ;", ParseErrorKind.EMPTY_LAYER),
-        ("id | | id", ParseErrorKind.EMPTY_LAYER),
-        ("id^", ParseErrorKind.BAD_REPETITION),
-        ("id^0", ParseErrorKind.BAD_REPETITION),
-        ("id^x", ParseErrorKind.BAD_REPETITION),
-        ("id^99999999999999", ParseErrorKind.BAD_REPETITION),
-    ],
+    "text,kind,at", _ERROR_CASES, ids=[f"{text[:20]}-{kind}" for text, kind, _ in _ERROR_CASES]
 )
-def test_parse_error_kinds(text, kind):
+def test_parse_error_kinds(text, kind, at):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.kind is kind
     assert exc.value.message
+    assert (exc.value.span.line, exc.value.span.column) == at
 
 
 def test_spans_are_one_based():
@@ -103,7 +121,7 @@ def test_round_trip_on_random_words():
 
 
 def test_parse_is_total_under_fuzz():
-    alphabet = "capmudeltaswingid;|^ \t\n#0123456789" + string.ascii_lowercase + "$%()"
+    alphabet = "capmudeltaswingid;|^ \t\n#0123456789" + string.ascii_lowercase + "$%()²٣é"
     rng = random.Random(424242)
     for _ in range(100_000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30)))

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -41,6 +42,15 @@ def test_layer_chaining_checked_at_construction():
         Layer(())
 
 
+def test_boundary_mismatch_names_the_layer():
+    with pytest.raises(BoundaryMismatch) as exc:
+        word([[Generator.SPLIT], [Generator.MERGE], [Generator.MERGE]])
+    assert (exc.value.layer, exc.value.expected, exc.value.got) == (2, 1, 2)
+    with pytest.raises(BoundaryMismatch) as exc:
+        compose(parse("mu"), parse("mu"))
+    assert exc.value.layer is None
+
+
 def test_compose_concatenates():
     w = compose(parse("mu"), parse("delta"))
     assert (w.source, w.target) == (2, 2)
@@ -76,6 +86,17 @@ def test_tensor_examples():
 def test_tensor_pads_shorter_operand():
     w = tensor(parse("mu ; delta"), parse("id"))
     assert w == parse("mu | id ; delta | id")
+
+
+def test_variadic_tensor_equals_binary_fold():
+    assert tensor() == identity(0)
+    rng = random.Random(5)
+    for _ in range(300):
+        ws = [
+            identity(rng.randint(0, 2)) if rng.random() < 0.2 else random_word(rng.randrange(10**6), 3, 5)
+            for _ in range(rng.randint(0, 6))
+        ]
+        assert tensor(*ws) == reduce(tensor, ws, identity(0))
 
 
 def test_decompose_handle():
