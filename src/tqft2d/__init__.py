@@ -16,6 +16,7 @@ from .evaluator import (
     evaluate,
     extract_algebra,
     genus_invariant,
+    genus_invariants,
     kron,
     matmul,
     matrix_to_csv,
@@ -59,6 +60,7 @@ from .groups import (
     conjugacy_classes,
     cyclic,
     dw_partition,
+    dw_series,
     group_from_json,
     group_to_json,
     product,

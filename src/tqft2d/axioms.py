@@ -1,21 +1,31 @@
-"""The generator relations of 2Cob as word pairs, run on an integer kernel.
+"""The integer kernel, and the generator relations of 2Cob run on it.
 
 Commutative Frobenius algebras are exactly 2D TQFTs (Abrams 1996; Kock
 2003), so the algebra axioms are relations between generator words.
 This module holds the one table of those word pairs and the one checker,
-:func:`word_failures`, which runs both words of a pair and reports every
-entry where they differ.  Other modules get field scalars from the
-kernel through :func:`word_entries` and :func:`genus_scalar`, so its
-scale convention stays here.
+:func:`word_failures`, which runs both words of a pair layer by layer
+and reports every entry where they differ.  Other modules get field
+scalars from the kernel through :func:`profile_entries`,
+:func:`word_entries`, :func:`genus_scalar` and :func:`genus_series`, so
+its scale convention stays here.
+
+:func:`profile_entries` evaluates a word without running its layers.
+By the normal-form theorem for 2Cob (Kock 2003), the functor of a valid
+algebra depends only on the word's component profile: a closed
+component of genus g is the scalar counit . H^g . unit with H = mu .
+delta, and an open one with m inputs and n outputs is the block
+delta^(n-1) . H^g . mu^(m-1).  The layer kernel (:func:`word_entries`)
+stays for the checker, because that factorisation fails on the invalid
+algebras the checker must run on.
 
 The kernel works on Python ints, never on field scalars.  Once per
 algebra, each generator's sparse columns are made integral: over Q every
 entry is multiplied by the generator's scale, the LCM of the denominators
 of its entries; over GF(p) the canonical residues are used with scale 1.
-A word's scale is the product of the scales of every generator in every
-layer, and an entry v of its integer columns stands for v / scale.  Over
-GF(p), ``% p`` is applied once per accumulated state entry and once per
-cached layer-column entry, never per multiply-add.
+The scale of a word, or of a block, is the product of the scales of the
+generators it is made of, and an entry v of its integer columns stands
+for v / scale.  Over GF(p), ``% p`` is applied once per accumulated state
+entry and once per cached layer-column entry, never per multiply-add.
 """
 
 from __future__ import annotations
@@ -23,11 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import dsl
 from .fields import Field, Scalar, make_field
-from .words import CobordismWord, Generator
+from .words import CobordismWord, Generator, decompose_components
 
 if TYPE_CHECKING:  # annotations only: frobenius imports this module
     from .frobenius import FrobeniusAlgebraData
@@ -181,33 +191,162 @@ def _scalar(v: int, scale: int, prime: int | None) -> Scalar:
     return Fraction(v, scale) if prime is None else v
 
 
+def _decoded(
+    a: FrobeniusAlgebraData, size: int, scale: int, cells: Iterable[tuple[int, int]]
+) -> list[Scalar]:
+    """A dense entry list of field scalars from (index, integer entry)
+    cells; each distinct integer is divided by the scale once."""
+    prime = a.field.prime
+    entries: list[Scalar] = [make_field(a.field).zero] * size
+    scalars: dict[int, Scalar] = {}
+    for i, v in cells:
+        x = scalars.get(v)
+        if x is None:
+            x = scalars[v] = _scalar(v, scale, prime)
+        entries[i] = x
+    return entries
+
+
 def word_entries(w: CobordismWord, a: FrobeniusAlgebraData) -> list[Scalar]:
     """The word's d^target x d^source matrix under a, row-major, as field
-    scalars.  The algebra is not validated."""
-    t, d = _int_tables(a), a.dim
-    scale, state = _run_word(w, t, d)
+    scalars, computed layer by layer.  The algebra is not validated."""
+    d = a.dim
+    scale, state = _run_word(w, _int_tables(a), d)
     n_cols = d**w.source
-    entries: list[Scalar] = [make_field(a.field).zero] * (d**w.target * n_cols)
-    scalars: dict[int, Scalar] = {}  # one division per distinct value
-    for c, column in enumerate(state):
-        for r, v in column.items():
-            x = scalars.get(v)
-            if x is None:
-                x = scalars[v] = _scalar(v, scale, t.prime)
-            entries[r * n_cols + c] = x
-    return entries
+    cells = ((r * n_cols + c, v) for c, column in enumerate(state) for r, v in column.items())
+    return _decoded(a, d**w.target * n_cols, scale, cells)
+
+
+def _split_last(col: _IntCol, split: Sequence[_IntCol], d: int, prime: int | None) -> _IntCol:
+    """A column over j wires with delta applied to its last wire."""
+    acc: _IntCol = {}
+    get = acc.get
+    for mid, v in col.items():
+        head, k = divmod(mid, d)
+        base = head * d * d
+        for r, x in split[k].items():
+            acc[base + r] = get(base + r, 0) + v * x
+    if prime is None:
+        return {r: x for r, x in acc.items() if x}
+    return {r: y for r, x in acc.items() if (y := x % prime)}
+
+
+def _block(t: _IntTables, d: int, m: int, n: int, genus: int) -> tuple[int, list[_IntCol]]:
+    """Scale and integer columns of the connected surface with m inputs, n
+    outputs and this genus: delta^(n-1) . H^genus . mu^(m-1), where
+    mu^(-1) is the unit and delta^(-1) the counit.
+
+    mu is folded over each column's input digits, one wire at a time,
+    and every prefix is multiplied out once.  Handles and splits are
+    applied once per distinct folded vector.  No intermediate is larger
+    than the block.
+    """
+    cols, s, p = t.columns, t.scales, t.prime
+    merge = cols[Generator.MERGE]
+    folds: Iterable[_IntCol] = cols[Generator.CAP] if m == 0 else cols[Generator.ID]
+    for _ in range(m - 1):
+        # the products v . e_k for k = 0 .. d-1, as mu applied to v (x) e_k
+        folds = (
+            u
+            for v in folds
+            for u in _apply([{i * d + k: x for i, x in v.items()} for k in range(d)], merge, p)
+        )
+    images: dict[frozenset, _IntCol] = {}
+    block = []
+    for v in folds:
+        key = frozenset(v.items())
+        col = images.get(key)
+        if col is None:
+            col = v
+            for _ in range(genus):
+                col = _apply([col], t.handle, p)[0]
+            if n == 0:
+                col = _apply([col], cols[Generator.CUP], p)[0]
+            for _ in range(n - 1):
+                col = _split_last(col, cols[Generator.SPLIT], d, p)
+            images[key] = col
+        block.append(col)
+    scale = (
+        (s[Generator.CAP] if m == 0 else s[Generator.MERGE] ** (m - 1))
+        * (s[Generator.MERGE] * s[Generator.SPLIT]) ** genus
+        * (s[Generator.CUP] if n == 0 else s[Generator.SPLIT] ** (n - 1))
+    )
+    return scale, block
+
+
+def _wire_indices(order: Sequence[int], n: int, d: int) -> list[int]:
+    """For each index over the wires in ``order`` (its first wire most
+    significant), the index over wires 0 .. n-1 with the same digits."""
+    indices = [0]
+    for wire in order:
+        step = d ** (n - 1 - wire)
+        indices = [base + k * step for base in indices for k in range(d)]
+    return indices
+
+
+def profile_entries(w: CobordismWord, a: FrobeniusAlgebraData) -> list[Scalar]:
+    """The word's d^target x d^source matrix under a valid algebra,
+    row-major, built from its component profile.
+
+    Entry (r, c) is the product of every closed component's scalar and
+    of each open component's block entry at that component's digits of
+    r and c.  Blocks are built once per (inputs, outputs, genus) in one
+    call, so the cost depends on the output size and the number of
+    components, not on the depth.  Equals :func:`word_entries` only when
+    a satisfies the axioms; the algebra is not validated.
+    """
+    t, d, p = _int_tables(a), a.dim, a.field.prime
+    blocks: dict[tuple[int, int, int], tuple[int, list[_IntCol]]] = {}
+    # The Kronecker product of the blocks, its row digits in out_order and
+    # its column digits in in_order.  Closed components come first, so
+    # each of them scales a 1 x 1 matrix.
+    scale, kron = 1, [{0: 1}]
+    in_order: list[int] = []
+    out_order: list[int] = []
+    components = decompose_components(w).components
+    for comp in sorted(components, key=lambda c: bool(c.inputs or c.outputs)):
+        key = (len(comp.inputs), len(comp.outputs), comp.genus)
+        if key not in blocks:
+            blocks[key] = _block(t, d, *key)
+        b_scale, block = blocks[key]
+        scale *= b_scale
+        rows = d ** key[1]
+        kron = [
+            {r * rows + br: v * x for r, v in col.items() for br, x in b_col.items()}
+            for col in kron
+            for b_col in block
+        ]
+        if p is not None:
+            kron = [{r: x % p for r, x in col.items()} for col in kron]
+        in_order += sorted(comp.inputs)
+        out_order += sorted(comp.outputs)
+    row_of = _wire_indices(out_order, w.target, d)
+    col_of = _wire_indices(in_order, w.source, d)
+    n_cols = d**w.source
+    cells = (
+        (row_of[r] * n_cols + col_of[c], v) for c, col in enumerate(kron) for r, v in col.items()
+    )
+    return _decoded(a, d**w.target * n_cols, scale, cells)
+
+
+def genus_series(a: FrobeniusAlgebraData) -> Iterator[Scalar]:
+    """counit(H^g(unit)), the closed genus-g surface, for g = 0, 1, 2, ...,
+    with H = mu . delta; H^g(unit) is kept from one genus to the next."""
+    t = _int_tables(a)
+    s = t.scales
+    vec, scale = t.columns[Generator.CAP][0], s[Generator.CAP] * s[Generator.CUP]
+    while True:
+        value = _apply([vec], t.columns[Generator.CUP], t.prime)[0].get(0, 0)
+        yield _scalar(value, scale, t.prime)
+        vec = _apply([vec], t.handle, t.prime)[0]
+        scale *= s[Generator.MERGE] * s[Generator.SPLIT]
 
 
 def genus_scalar(genus: int, a: FrobeniusAlgebraData) -> Scalar:
     """counit(H^genus(unit)) with H = mu . delta, the closed genus-g surface."""
     t = _int_tables(a)
-    vec = t.columns[Generator.CAP][0]
-    for _ in range(genus):
-        vec = _apply([vec], t.handle, t.prime)[0]
-    value = _apply([vec], t.columns[Generator.CUP], t.prime)[0].get(0, 0)
-    s = t.scales
-    handle_scale = s[Generator.MERGE] * s[Generator.SPLIT]
-    return _scalar(value, s[Generator.CAP] * handle_scale**genus * s[Generator.CUP], t.prime)
+    scale, (col,) = _block(t, a.dim, 0, 0, genus)
+    return _scalar(col.get(0, 0), scale, t.prime)
 
 
 # ---------------------------------------------------------------------------

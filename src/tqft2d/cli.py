@@ -16,6 +16,8 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
+from itertools import repeat
 
 from . import dsl
 from .evaluator import (
@@ -26,6 +28,7 @@ from .evaluator import (
     check_relations,
     evaluate,
     genus_invariant,
+    genus_invariants,
     matrix_to_csv,
     matrix_to_json,
     relation_table,
@@ -48,7 +51,7 @@ from .groups import (
     FiniteGroup,
     builtin,
     cyclic,
-    dw_partition,
+    dw_series,
     load_group,
     product,
 )
@@ -139,32 +142,51 @@ def _scalar_str(field: FieldSpec, value) -> str:
     return make_field(field).to_str(value)
 
 
+@contextmanager
+def _long_ints():
+    """Lift Python's limit on int-to-str digits while results are computed
+    and printed; the caps on genus and word size bound them.  Input is
+    read under the limit, because reading a long digit string takes time
+    quadratic in its length."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7: no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     algebra = _read_algebra(args.algebra, args.field)
-    report = check_all(algebra)
-    for name, section in report.sections:
-        status = "pass" if section.ok else "FAIL"
-        print(f"{name}: {status}")
-        for failure in section.failures:
-            print(f"  {failure}")
+    with _long_ints():
+        report = check_all(algebra)
+        for name, section in report.sections:
+            status = "pass" if section.ok else "FAIL"
+            print(f"{name}: {status}")
+            for failure in section.failures:
+                print(f"  {failure}")
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     w = _read_word(args.word)
     algebra = _read_algebra(args.algebra, args.field)
-    matrix = evaluate(w, algebra, args.config)
-    if args.out == "csv":
-        sys.stdout.write(matrix_to_csv(matrix))
-    else:
-        print(json.dumps(matrix_to_json(matrix)))
+    with _long_ints():
+        matrix = evaluate(w, algebra, args.config)
+        if args.out == "csv":
+            sys.stdout.write(matrix_to_csv(matrix))
+        else:
+            print(json.dumps(matrix_to_json(matrix)))
     return EXIT_OK
 
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     algebra = _read_algebra(args.algebra, args.field)
-    value = genus_invariant(args.genus, algebra)
-    print(_scalar_str(algebra.field, value))
+    with _long_ints():
+        print(_scalar_str(algebra.field, genus_invariant(args.genus, algebra)))
     return EXIT_OK
 
 
@@ -201,14 +223,21 @@ def cmd_dw(args: argparse.Namespace) -> int:
     algebra_side = group_algebra(group, RATIONAL) if group.is_abelian() else None
     all_match = True
     print("genus  oracle  evaluator  verdict")
-    for genus in range(args.max_genus + 1):
-        oracle = dw_partition(group, genus)
-        value = genus_invariant(genus, center)
-        ok = oracle == value
-        if algebra_side is not None:
-            ok = ok and genus_invariant(genus, algebra_side) == oracle
-        all_match = all_match and ok
-        print(f"{genus}  {oracle}  {_scalar_str(center.field, value)}  {'match' if ok else 'MISMATCH'}")
+    # Each series keeps its state from one genus to the next.
+    rows = zip(
+        range(args.max_genus + 1),
+        dw_series(group),
+        genus_invariants(center),
+        genus_invariants(algebra_side) if algebra_side is not None else repeat(None),
+    )
+    with _long_ints():
+        for genus, oracle, value, algebra_value in rows:
+            ok = oracle == value
+            if algebra_value is not None:
+                ok = ok and algebra_value == oracle
+            all_match = all_match and ok
+            verdict = "match" if ok else "MISMATCH"
+            print(f"{genus}  {oracle}  {_scalar_str(center.field, value)}  {verdict}")
     return EXIT_OK if all_match else EXIT_CHECK_FAILED
 
 

@@ -1,14 +1,18 @@
 """The TQFT functor: cobordism words to exact matrices.
 
-Each layer compiles to the Kronecker product of its generators'
-matrices (cap -> unit column, cup -> counit row, id -> identity,
-mu -> d x d^2, delta -> d^2 x d, swap -> the basis-swap permutation);
-the word evaluates to the composite, a d^target x d^source matrix.
-Wire 0 is the leftmost tensor factor, so basis index i*d + j means
-e_i (x) e_j.  All arithmetic is exact.
+A valid algebra's functor depends only on the word's component profile
+(Kock 2003), so :func:`evaluate` never runs the layers: each closed
+component is a genus scalar, each open component with m inputs, n
+outputs and genus g is the block delta^(n-1) . H^g . mu^(m-1) with
+H = mu . delta, and the word's d^target x d^source matrix has, at
+(r, c), the product of the scalars and of each block's entry at that
+component's digits of r and c.  Wire 0 is the leftmost tensor factor,
+so basis index i*d + j means e_i (x) e_j.  All arithmetic is exact.
 
 Words, the genus invariant and ``check_relations`` all run on the
-fraction-free integer kernel of :mod:`tqft2d.axioms`.
+fraction-free integer kernel of :mod:`tqft2d.axioms`;
+``check_relations`` runs its words layer by layer, because it must
+work on algebras that fail the axioms.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from . import dsl
-from .axioms import WORD_PAIRS, genus_scalar, word_entries, word_failures
+from .axioms import WORD_PAIRS, genus_scalar, genus_series, profile_entries, word_failures
 from .fields import FieldSpec, Scalar, make_field
 from .frobenius import (
     FrobeniusAlgebraData,
@@ -170,11 +175,15 @@ def _require_valid(a: FrobeniusAlgebraData) -> None:
 def evaluate(
     w: CobordismWord, a: FrobeniusAlgebraData, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> ExactMatrix:
-    """Image of the word under the functor defined by a valid algebra."""
-    _require_valid(a)
+    """Image of the word under the functor defined by a valid algebra.
+
+    Size caps are checked first, so a word that is too large is refused
+    before any validation work.
+    """
     d = a.dim
     _check_size(w, d, cfg)
-    return ExactMatrix(d**w.target, d**w.source, a.field, tuple(word_entries(w, a)))
+    _require_valid(a)
+    return ExactMatrix(d**w.target, d**w.source, a.field, tuple(profile_entries(w, a)))
 
 
 def genus_invariant(genus: int, a: FrobeniusAlgebraData) -> Scalar:
@@ -190,6 +199,13 @@ def genus_invariant(genus: int, a: FrobeniusAlgebraData) -> Scalar:
         raise EnumerationTooLarge(f"genus {genus} exceeds the cap of {MAX_GENUS}")
     _require_valid(a)
     return genus_scalar(genus, a)
+
+
+def genus_invariants(a: FrobeniusAlgebraData) -> Iterator[Scalar]:
+    """``genus_invariant(g, a)`` for g = 0, 1, ..., MAX_GENUS, each one
+    handle step from the last.  The algebra is validated on first use."""
+    _require_valid(a)
+    yield from islice(genus_series(a), MAX_GENUS + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Sequence
+from itertools import count, islice, product as iproduct
+from typing import Iterator, Sequence
 
 MAX_GENUS = 1000
 
@@ -194,36 +194,53 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-def commutator_count(g: FiniteGroup, genus: int) -> int:
-    """Number of 2*genus-tuples whose commutator product is the identity.
+def _check_genus(genus: int) -> None:
+    if genus > MAX_GENUS:
+        raise EnumerationTooLarge(f"genus {genus} exceeds the cap of {MAX_GENUS}")
+
+
+def _commutator_counts(g: FiniteGroup) -> Iterator[int]:
+    """commutator_count(g, genus) for genus = 0, 1, ..., MAX_GENUS; asking
+    for the next one raises :class:`EnumerationTooLarge`.
 
     One convolution per handle: ``ways`` maps each partial product
     [a_1, b_1]...[a_k, b_k] to the number of 2k-tuples that reach it,
     and each handle convolves it with the histogram of commutators
-    [a, b], so the cost is O(genus * n^2) rather than n^(2*genus).
+    [a, b], so genus g costs O(g * n^2) rather than n^(2*g).
     """
-    if genus < 0:
-        raise ValueError(f"genus must be >= 0, got {genus}")
-    if genus > MAX_GENUS:
-        raise EnumerationTooLarge(f"genus {genus} exceeds the cap of {MAX_GENUS}")
     n = g.order
     t = g.table
     inv = g._inverse
     comms = Counter(t[t[t[a][b]][inv[a]]][inv[b]] for a in range(n) for b in range(n))
     ways = Counter({g.identity: 1})
-    for _ in range(genus):
+    for genus in count():
+        _check_genus(genus)
+        yield ways[g.identity]
         step: Counter[int] = Counter()
         for x, k in ways.items():
             row = t[x]
             for c, m in comms.items():
                 step[row[c]] += k * m
         ways = step
-    return ways[g.identity]
+
+
+def commutator_count(g: FiniteGroup, genus: int) -> int:
+    """Number of 2*genus-tuples whose commutator product is the identity."""
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
+    _check_genus(genus)
+    return next(islice(_commutator_counts(g), genus, None))
 
 
 def dw_partition(g: FiniteGroup, genus: int) -> Fraction:
     """Exact genus-g partition function: commutator_count / |G|."""
     return Fraction(commutator_count(g, genus), g.order)
+
+
+def dw_series(g: FiniteGroup) -> Iterator[Fraction]:
+    """dw_partition(g, genus) for genus = 0, 1, ..., MAX_GENUS, one handle
+    apart; asking for the next one raises :class:`EnumerationTooLarge`."""
+    return (Fraction(c, g.order) for c in _commutator_counts(g))
 
 
 def group_to_json(g: FiniteGroup) -> dict:

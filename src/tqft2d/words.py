@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -54,18 +54,15 @@ class Layer:
     """One parallel slice of generators, top to bottom."""
 
     generators: tuple[Generator, ...]
+    # Summed once here: every word built from the layer reads them.
+    inputs: int = field(init=False, repr=False, compare=False)
+    outputs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.generators:
             raise ValueError("a layer must contain at least one generator")
-
-    @property
-    def inputs(self) -> int:
-        return sum(g.n_in for g in self.generators)
-
-    @property
-    def outputs(self) -> int:
-        return sum(g.n_out for g in self.generators)
+        object.__setattr__(self, "inputs", sum(g.n_in for g in self.generators))
+        object.__setattr__(self, "outputs", sum(g.n_out for g in self.generators))
 
 
 @dataclass(frozen=True)
@@ -78,6 +75,8 @@ class CobordismWord:
 
     layers: tuple[Layer, ...]
     source: int
+    # The ComponentProfile, built on first use by decompose_components.
+    _profile: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.source < 0:
@@ -204,7 +203,14 @@ def decompose_components(w: CobordismWord) -> ComponentProfile:
     +1/+1/-1/-1 to chi; Id and Swap are plain wires (a swap crosses
     two disjoint cylinders and never merges components).  For each
     component with b boundary circles, genus = (2 - chi - b) / 2.
+    The profile is memoised on the word instance.
     """
+    if w._profile is None:
+        object.__setattr__(w, "_profile", _decompose(w))
+    return w._profile  # type: ignore[return-value]
+
+
+def _decompose(w: CobordismWord) -> ComponentProfile:
     uf = _UnionFind()
     in_elem = [uf.make(0) for _ in range(w.source)]
     cur = list(in_elem)

@@ -1,11 +1,13 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from tqft2d import cli
 from tqft2d.cli import UsageError, main
 from tqft2d.dsl import ParseError, ParseErrorKind, SourceSpan
-from tqft2d.evaluator import EvalTooLarge, InvalidAlgebra
+from tqft2d.evaluator import EvalTooLarge, InvalidAlgebra, genus_invariant
 from tqft2d.fields import BadFieldSpec
 from tqft2d.frobenius import (
     AlgebraFormatError,
@@ -15,6 +17,7 @@ from tqft2d.frobenius import (
     NonAbelianGroup,
     ValidationReport,
     algebra_to_json,
+    derive_comultiplication,
     group_algebra,
     truncated_poly,
 )
@@ -100,6 +103,11 @@ def test_eval_resource_limit(t2_path, capsys):
     assert main(["--max-entries", "7", "eval", "mu ; delta", t2_path]) == 3
 
 
+def test_eval_too_large_before_validation(broken_path, capsys):
+    assert main(["eval", "id^21", broken_path]) == 3
+    assert "layer 0 needs" in capsys.readouterr().err
+
+
 def test_eval_output_matrix_is_capped(capsys):
     # Each layer is 2^11 entries, but the output is 2^11 x 2^11.
     assert main(["eval", "cup^11 ; cap^11", "truncated_poly(2)"]) == 3
@@ -132,6 +140,23 @@ def test_invariant_genus_is_capped(capsys):
     # sum over the irreps of (|G| / dim)^(2g - 2), 1556 digits
     assert main(["invariant", "--genus", "1000", "group_center(S3)"]) == 0
     assert int(capsys.readouterr().out) == 2 * 6**1998 + 3**1998
+
+
+def test_invariant_prints_past_the_int_digit_limit(tmp_path, capsys):
+    c2 = group_algebra(cyclic(2))
+    a = derive_comultiplication(c2.field, 2, c2.mu, c2.unit, (Fraction(1, 100000), Fraction(0)))
+    path = tmp_path / "c2_small_counit.json"
+    path.write_text(json.dumps(algebra_to_json(a)), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    assert main(["invariant", "--genus", "1000", str(path)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out.strip()
+    assert len(out) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == str(genus_invariant(1000, a))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_equiv_verdicts(capsys):

@@ -1,9 +1,11 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from tqft2d.axioms import genus_scalar, genus_series, word_entries
 from tqft2d.dsl import parse
 from tqft2d.evaluator import (
     EvalConfig,
@@ -14,6 +16,7 @@ from tqft2d.evaluator import (
     evaluate,
     extract_algebra,
     genus_invariant,
+    genus_invariants,
     kron,
     matmul,
     matrix_to_csv,
@@ -28,7 +31,7 @@ from tqft2d.frobenius import (
     pairing,
     truncated_poly,
 )
-from tqft2d.groups import cyclic
+from tqft2d.groups import MAX_GENUS, cyclic
 from tqft2d.words import CobordismWord, Generator, compose, identity, random_word, tensor
 
 from conftest import reference_evaluate
@@ -219,7 +222,52 @@ def _counit_scaled_poly(field, factor):
     return derive_comultiplication(field, 3, a.mu, a.unit, counit)
 
 
+def _dense_basis(a):
+    """a on the basis f_i = e_i + ... + e_(d-1), so products of basis
+    vectors are no longer multiples of basis vectors."""
+    f, d = make_field(a.field), a.dim
+    # e_k = f_k - f_(k+1), with f_d = 0
+    old = [{k: 1, k + 1: -1} if k + 1 < d else {k: 1} for k in range(d)]
+
+    def in_new_basis(vec):
+        return tuple(
+            f.normalize(sum(vec[k] * old[k].get(c, 0) for k in range(d))) for c in range(d)
+        )
+
+    def old_product(x, y):
+        return [sum(a.mu[i][j][k] for i in range(x, d) for j in range(y, d)) for k in range(d)]
+
+    mu = tuple(tuple(in_new_basis(old_product(x, y)) for y in range(d)) for x in range(d))
+    counit = tuple(f.normalize(sum(a.counit[x:])) for x in range(d))
+    return derive_comultiplication(a.field, d, mu, in_new_basis(a.unit), counit)
+
+
 GF7 = FieldSpec(prime=7)
+
+
+def _closed(genus):
+    return parse("cap ; " + "delta ; mu ; " * genus + "cup")
+
+
+def _after_closed(w, genera):
+    """w preceded by closed surfaces of these genera, each beside w's inputs."""
+    for genus in genera:
+        w = compose(tensor(_closed(genus), identity(w.source)), w)
+    return w
+
+
+# Profiles that short random words seldom have.
+PROFILE_WORDS = [
+    identity(0),
+    identity(3),
+    parse("id | swap ; mu | delta ; swap | id"),  # in {0,2} -> out {1}, in {1} -> out {0,2}
+    parse("id | swap ; mu | id ; cup | id"),  # in {0,2} -> nothing, in {1} -> out {0}
+    parse("delta | delta ; id | swap | id ; mu | mu ; swap"),  # 2 -> 2, genus 1
+    parse("cap ; delta ; mu ; delta ; delta | id"),  # 0 -> 3, genus 1
+    _after_closed(parse("swap ; mu ; delta"), (0, 1, 2, 3)),  # the sphere first
+    _after_closed(identity(0), (3, 1)),
+    _after_closed(parse("id | swap ; mu | delta ; swap | id"), (1,)),
+]
 
 
 @pytest.mark.parametrize(
@@ -229,23 +277,55 @@ GF7 = FieldSpec(prime=7)
         lambda: _counit_scaled_poly(RATIONAL, Q(2, 3)),  # delta has denominator 2
         lambda: truncated_poly(3, GF7),
         lambda: _counit_scaled_poly(GF7, 3),  # residues other than 0 and 1
+        lambda: _dense_basis(group_algebra(cyclic(3))),
+        lambda: _dense_basis(truncated_poly(3, GF7)),
     ],
-    ids=["c3_counit_third", "poly3_delta_half", "poly3_gf7", "poly3_gf7_counit_3"],
+    ids=[
+        "c3_counit_third",
+        "poly3_delta_half",
+        "poly3_gf7",
+        "poly3_gf7_counit_3",
+        "c3_dense_basis",
+        "poly3_gf7_dense_basis",
+    ],
 )
 def test_evaluate_matches_dense_reference(make_algebra):
+    """evaluate, built from the component profile, against the dense
+    reference and against the layer-by-layer kernel."""
     a = make_algebra()
     assert check_all(a).ok
     if a.field.is_rational:  # the integer kernel's scales must be exercised
         entries = [*a.counit, *(x for plane in a.delta for row in plane for x in row)]
         assert max(x.denominator for x in entries) > 1
     seen = set()
-    for seed in range(60):
-        w = random_word(seed, 3, 6)
+    words = [random_word(seed, 3, 6) for seed in range(60)] + PROFILE_WORDS
+    for i, w in enumerate(words):
         seen.update(g for layer in w.layers for g in layer.generators)
         got = evaluate(w, a)
-        assert got == reference_evaluate(w, a), seed
+        assert got == reference_evaluate(w, a), i
+        assert list(got.entries) == word_entries(w, a), i
         if a.field.is_rational:
             assert all(type(x) is Fraction for x in got.entries)
         else:
             assert all(type(x) is int and 0 <= x < a.field.prime for x in got.entries)
     assert {Generator.CAP, Generator.CUP, Generator.MERGE, Generator.SPLIT} <= seen
+    if genus_invariant(0, a) == 0:  # a sphere beside the word makes every entry zero
+        assert set(evaluate(PROFILE_WORDS[6], a).entries) == {make_field(a.field).zero}
+
+
+def test_word_too_large_is_refused_before_validation(t2):
+    broken = dataclasses.replace(t2, counit=(Q(0), Q(0)))
+    with pytest.raises(EvalTooLarge):
+        evaluate(parse("id^11"), broken)
+    with pytest.raises(InvalidAlgebra):
+        evaluate(parse("id^10"), broken)
+
+
+def test_genus_series_match_per_genus_values(registry):
+    for name, a in registry.items():
+        series = list(islice(genus_series(a), 13))
+        assert series == [genus_scalar(g, a) for g in range(13)], name
+        assert series == [genus_invariant(g, a) for g in range(13)], name
+    values = list(genus_invariants(group_algebra(cyclic(2))))
+    assert len(values) == MAX_GENUS + 1
+    assert values[MAX_GENUS] == genus_invariant(MAX_GENUS, group_algebra(cyclic(2)))

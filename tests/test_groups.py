@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product as tuples
+from itertools import islice, product as tuples
 
 import pytest
 
@@ -15,6 +15,7 @@ from tqft2d.groups import (
     conjugacy_classes,
     cyclic,
     dw_partition,
+    dw_series,
     group_from_json,
     group_to_json,
     product,
@@ -119,6 +120,18 @@ def test_dw_partition_values():
 def test_dw_partition_torus_counts_classes():
     for g in (builtin("S3"), builtin("D4"), builtin("Q8"), cyclic(4)):
         assert dw_partition(g, 1) == len(conjugacy_classes(g))
+
+
+def test_dw_series_matches_dw_partition():
+    for g in (builtin("S3"), builtin("D4"), builtin("Q8"), cyclic(4), cyclic(1)):
+        assert list(islice(dw_series(g), 13)) == [dw_partition(g, genus) for genus in range(13)]
+
+
+def test_dw_series_stops_at_genus_cap():
+    series = dw_series(cyclic(1))
+    assert list(islice(series, MAX_GENUS + 1)) == [1] * (MAX_GENUS + 1)
+    with pytest.raises(EnumerationTooLarge, match=f"genus {MAX_GENUS + 1} exceeds"):
+        next(series)
 
 
 def test_commutator_count_genus_cap():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import reduce
 
@@ -124,6 +125,22 @@ def test_profile_keeps_closed_multiplicity():
     two = tensor(sphere, sphere)
     assert len(decompose_components(two).components) == 2
     assert not is_equivalent(sphere, two)
+
+
+def test_profile_memo_is_invisible():
+    text = "delta | cap ; mu | id ; swap"
+    w, fresh = parse(text), parse(text)
+    before = (hash(w), repr(w))
+    profile = decompose_components(w)
+    assert decompose_components(w) is profile  # one union-find pass per word
+    assert w == fresh and (hash(w), repr(w)) == before == (hash(fresh), repr(fresh))
+    assert repr(w.layers[0]) == (
+        "Layer(generators=(<Generator.SPLIT: ('delta', 1, 2)>, <Generator.CAP: ('cap', 0, 1)>))"
+    )
+    # a replaced word gets its own profile, not the memo of the original
+    other = dataclasses.replace(w, layers=parse("swap ; mu ; delta").layers, source=2)
+    assert decompose_components(other) == decompose_components(parse("swap ; mu ; delta"))
+    assert decompose_components(other) != profile
 
 
 def test_swap_does_not_merge_components():
